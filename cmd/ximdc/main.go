@@ -1,9 +1,10 @@
 // Command ximdc is the XIMD sweep-fabric coordinator: it shards jobs
 // and sweep cross-products across a fleet of ximdd workers with
 // digest-affinity routing, heartbeat-driven worker health, work
-// stealing, and deterministic requeue (internal/fabric), and serves the
-// same HTTP/JSON surface a single worker does — POST /v1/jobs,
-// POST /v1/sweeps, GET /v1/runs, POST /v1/regress — plus GET /v1/fleet.
+// stealing, and deterministic requeue (internal/fabric). It serves
+// ximdd's job API through the same handlers (serve.API) — jobs, sweeps,
+// runs, regress, traces, metrics, with the same validation and error
+// contract — plus GET /v1/fleet.
 //
 // Usage:
 //
@@ -31,9 +32,9 @@
 //	                   Always a separate listener — profiling endpoints
 //	                   never share the API port
 //
-// On SIGINT/SIGTERM the coordinator stops accepting work (503 on
-// submit, /readyz goes non-ready), cancels inflight fabric jobs, and
-// exits; a second signal aborts immediately.
+// On SIGINT/SIGTERM the coordinator stops accepting work (503 +
+// Retry-After on submit, /readyz goes non-ready), cancels inflight
+// fabric jobs, and exits; a second signal aborts immediately.
 package main
 
 import (

@@ -2,10 +2,8 @@ package fabric
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
 	"sync"
 	"time"
 
@@ -23,18 +21,10 @@ import (
 // anywhere in the fleet produces the same bytes.
 type cjob struct {
 	id  string
-	req serve.JobRequest
-	// wantProfile is the client's profile flag; req.Profile is forced
-	// true on the wire so the archive always receives the full
-	// document, and the response is stripped back to the client's ask
-	// (the same split the single-node sweep path makes).
-	wantProfile bool
-	digest      string
-	arch        runner.Arch
-	canon       string
-	// doArchive gates the terminal archive append: jobs and sweeps
-	// record, regression-gate runs must not (a run never passes by
-	// matching itself).
+	job *serve.Job
+	// doArchive gates the terminal archive append: submitted jobs and
+	// detached sweep variants record here; batch runs are recorded (or,
+	// for a regression gate, compared) by the shared API.
 	doArchive bool
 	submitted time.Time
 	// span is the coordinator-side "job" span; traceID its trace. Every
@@ -71,26 +61,21 @@ func (j *cjob) setDispatched(w *worker, remoteID string) {
 // coordinator-side job span (a child of the request/sweep/regress span
 // that caused it); startJob owns it from here — it is finished at the
 // job's terminal state.
-func (c *Coordinator) startJob(req serve.JobRequest, digest string, arch runner.Arch, canon string, doArchive bool, span *obs.Span) (*cjob, error) {
+func (c *Coordinator) startJob(job *serve.Job, doArchive bool, span *obs.Span) (*cjob, error) {
 	j := &cjob{
-		req:         req,
-		wantProfile: req.Profile,
-		digest:      digest,
-		arch:        arch,
-		canon:       canon,
-		doArchive:   doArchive,
-		span:        span,
-		traceID:     span.Context().TraceID,
-		state:       serve.StateQueued,
-		done:        make(chan struct{}),
+		job:       job,
+		doArchive: doArchive,
+		span:      span,
+		traceID:   span.Context().TraceID,
+		state:     serve.StateQueued,
+		done:      make(chan struct{}),
 	}
-	j.req.Profile = true
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		span.SetAttr("error", ErrShuttingDown.Error())
+		span.SetAttr("error", serve.ErrShuttingDown.Error())
 		span.Finish()
-		return nil, ErrShuttingDown
+		return nil, serve.ErrShuttingDown
 	}
 	c.nextJob++
 	j.id = fmt.Sprintf("c-%d", c.nextJob)
@@ -99,7 +84,7 @@ func (c *Coordinator) startJob(req serve.JobRequest, digest string, arch runner.
 	c.wg.Add(1)
 	c.mu.Unlock()
 	span.SetAttr("job_id", j.id)
-	span.SetAttr("digest", digest)
+	span.SetAttr("digest", job.Digest)
 	c.met.jobsTotal.Inc()
 	c.met.jobsInflight.Add(1)
 	go c.runJob(j)
@@ -150,7 +135,7 @@ func (c *Coordinator) runJob(j *cjob) {
 	for {
 		select {
 		case <-c.rootCtx.Done():
-			c.fail(j, ErrShuttingDown.Error())
+			c.fail(j, serve.ErrShuttingDown.Error())
 			return
 		default:
 		}
@@ -260,7 +245,7 @@ func (c *Coordinator) runJob(j *cjob) {
 // eligible or the submission failed (the caller backs off and
 // retries, and the retry is counted as a fresh routing decision).
 func (c *Coordinator) trySubmit(j *cjob, exclude *worker, strict bool) *submission {
-	w := c.route(j.digest, exclude, strict)
+	w := c.route(j.job.Digest, exclude, strict)
 	if w == nil {
 		return nil
 	}
@@ -272,8 +257,13 @@ func (c *Coordinator) trySubmit(j *cjob, exclude *worker, strict bool) *submissi
 	ps.SetAttr("url", w.url)
 	ctx, cancel := context.WithTimeout(c.rootCtx, c.opts.HTTPTimeout)
 	defer cancel()
+	// The wire request always asks for the profile, so the archive
+	// receives the full document; the shared API trims what the client
+	// sees back to its own ask.
+	req := j.job.Req
+	req.Profile = true
 	start := time.Now()
-	resp, err := w.submit(ctx, &j.req, obs.FormatTraceHeader(ps.Context()))
+	resp, err := w.submit(ctx, &req, obs.FormatTraceHeader(ps.Context()))
 	c.met.submitSecs.Observe(time.Since(start).Seconds())
 	if err != nil {
 		c.met.submitRetries.Inc()
@@ -363,8 +353,8 @@ func (c *Coordinator) finalize(j *cjob, st *serve.JobStatus, tried map[string]*w
 	} else {
 		c.met.jobsDone.Inc()
 	}
-	if j.doArchive && c.arch != nil {
-		c.appendArchive(j.archiveRecord(time.Now().UnixMilli()))
+	if j.doArchive {
+		c.api.Record(j.job.ArchiveRecord(j.outcome(), time.Now().UnixMilli()))
 	}
 	close(j.done)
 }
@@ -420,135 +410,112 @@ func (c *Coordinator) fail(j *cjob, msg string) {
 	close(j.done)
 }
 
-// archiveRecord builds the fleet archive record for a worker-terminal
-// job: the same key and document a single-node ximdd would append, so
-// one archive serves both topologies interchangeably.
-func (j *cjob) archiveRecord(unixMS int64) archive.Record {
+// outcome is a terminal job's result as the shared API reports and
+// archives it: the worker's verdict when one arrived, an abandoned
+// failure when the fabric gave up (deadline, shutdown).
+func (j *cjob) outcome() serve.Outcome {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	rec := archive.Record{
-		Key: archive.Key{
-			ProgramSHA256: j.digest,
-			Arch:          string(j.arch),
-			Seed:          j.req.Seed,
-			Inject:        j.canon,
-		},
-		UnixMS: unixMS,
-	}
+	o := serve.Outcome{Err: j.errText, ExitCode: runner.ExitSim, Abandoned: j.final == nil}
 	if j.final != nil {
-		if j.final.ExitCode != nil {
-			rec.ExitCode = *j.final.ExitCode
+		if j.state == serve.StateDone {
+			o.Result, o.ExitCode = j.final.Result, 0
 		}
-		rec.Error = j.final.Error
-		rec.Result = j.final.Result
-	} else {
-		rec.ExitCode = 1
-		rec.Error = j.errText
+		if j.final.ExitCode != nil {
+			o.ExitCode = *j.final.ExitCode
+		}
 	}
-	return rec
+	if j.state == serve.StateFailed && o.Err == "" {
+		o.Err = "job failed"
+	}
+	return o
 }
 
-func (c *Coordinator) appendArchive(rec archive.Record) {
-	if err := c.arch.Append(rec); err != nil {
-		c.met.archiveAppendErrs.Inc()
-		return
-	}
-	c.met.archiveAppends.Inc()
+// The Coordinator is ximdc's serve.Executor: every job, sweep variant
+// and regression run becomes one fabric job.
+
+// Load validates a program exactly as a worker will decode it. The
+// coordinator keeps no decoded programs — the workers' caches are what
+// digest affinity keeps warm — so hit is always false.
+func (c *Coordinator) Load(arch runner.Arch, source []byte) (*runner.Program, string, bool, error) {
+	prog, err := runner.Load(arch, source)
+	return prog, archive.ProgramDigest(arch, source), false, err
 }
 
-// resultForClient returns the job's terminal result document with the
-// profile stripped back to the client's ask. The strip mirrors the
-// single-node sweep path exactly (full doc archived, copy with
-// Profile=nil returned), so fleet and single-node responses are
-// byte-identical.
-func (j *cjob) resultForClient() *runner.ResultDoc {
-	if j.final == nil || j.final.Result == nil {
-		return nil
-	}
-	if j.wantProfile {
-		return j.final.Result
-	}
-	doc := *j.final.Result
-	doc.Profile = nil
-	return &doc
-}
-
-// JobStatus is the body of the coordinator's GET /v1/jobs/{id}: the
-// job's fleet placement beside the usual terminal fields.
-type JobStatus struct {
-	ID            string      `json:"id"`
-	Status        serve.State `json:"status"`
-	ProgramSHA256 string      `json:"program_sha256"`
-	// Worker and RemoteID locate the job's current (or final)
-	// placement; Attempts counts submissions (requeues re-submit),
-	// Stolen whether a duplicate placement raced the original.
-	Worker   string `json:"worker,omitempty"`
-	RemoteID string `json:"remote_id,omitempty"`
-	Attempts int    `json:"attempts,omitempty"`
-	Stolen   bool   `json:"stolen,omitempty"`
-	// TraceID locates the fleet-wide trace tree for this job under
-	// GET /v1/traces/{trace_id}.
-	TraceID  string `json:"trace_id,omitempty"`
-	ExitCode *int   `json:"exit_code,omitempty"`
-	Error    string `json:"error,omitempty"`
-	// Result is the deterministic result document, identical to what
-	// any worker — or a single-node ximdd — produces for this request.
-	Result *runner.ResultDoc `json:"result,omitempty"`
-}
-
-func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req serve.JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, c.opts.MaxSourceBytes*2))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	if req.Trace {
-		writeError(w, http.StatusBadRequest, errors.New("fabric jobs do not support trace=true; submit trace jobs to a worker directly"))
-		return
-	}
-	digest, arch, canon, err := c.validate(&req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// The coordinator's root of the fleet-wide trace: adopt the caller's
-	// context if one arrived, else start fresh. The request span covers
-	// only the HTTP exchange; the job span lives on under it until the
-	// job turns terminal.
-	sc, _ := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
+// Submit starts one fabric job under a "request" span that covers only
+// the HTTP exchange; the job span lives on under it until the job
+// turns terminal.
+func (c *Coordinator) Submit(job *serve.Job, sc obs.SpanContext) (string, obs.SpanContext, error) {
 	reqSpan := c.tr.Adopt(sc, "request")
-	reqSpan.SetAttr("digest", digest)
-	j, err := c.startJob(req, digest, arch, canon, true, reqSpan.Child("job"))
+	reqSpan.SetAttr("digest", job.Digest)
+	defer reqSpan.Finish()
+	j, err := c.startJob(job, true, reqSpan.Child("job"))
 	if err != nil {
 		reqSpan.SetAttr("error", err.Error())
-		reqSpan.Finish()
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
+		return "", obs.SpanContext{}, err
 	}
-	w.Header().Set(obs.TraceHeader, obs.FormatTraceHeader(reqSpan.Context()))
-	reqSpan.Finish()
-	writeJSON(w, http.StatusAccepted, serve.SubmitResponse{
-		ID:            j.id,
-		Status:        serve.StateQueued,
-		ProgramSHA256: digest,
-	})
+	return j.id, reqSpan.Context(), nil
 }
 
-func (c *Coordinator) handleJobStatus(w http.ResponseWriter, r *http.Request) {
+// SubmitSweep starts one fabric job per variant. A shutdown racing the
+// fan-out fails the request; the variants already started finalize as
+// failed on their own.
+func (c *Coordinator) SubmitSweep(jobs []*serve.Job, sweepID string, span *obs.Span) ([]string, error) {
+	ids := make([]string, 0, len(jobs))
+	for _, job := range jobs {
+		js := span.Child("job")
+		js.SetAttr("sweep_id", sweepID)
+		js.SetAttr("variant", job.Name)
+		j, err := c.startJob(job, true, js)
+		if err != nil {
+			return nil, err
+		}
+		ids = append(ids, j.id)
+	}
+	return ids, nil
+}
+
+// RunBatch fans the jobs out over the fleet and waits for every one.
+// Each outcome is the variant's deterministic result document — the
+// same bytes no matter which worker ran it, how often it was requeued,
+// or whether a steal raced it.
+func (c *Coordinator) RunBatch(jobs []*serve.Job, span *obs.Span) ([]serve.Outcome, []string) {
+	outs := make([]serve.Outcome, len(jobs))
+	ids := make([]string, len(jobs))
+	started := make([]*cjob, len(jobs))
+	for i, job := range jobs {
+		js := span.Child("job")
+		js.SetAttr("variant", job.Name)
+		j, err := c.startJob(job, false, js)
+		if err != nil {
+			outs[i] = serve.Outcome{Err: err.Error(), ExitCode: runner.ExitSim, Abandoned: true}
+			continue
+		}
+		started[i], ids[i] = j, j.id
+	}
+	for i, j := range started {
+		if j != nil {
+			<-j.done
+			outs[i] = j.outcome()
+		}
+	}
+	return outs, ids
+}
+
+// Status reports a fabric job with its fleet placement beside the
+// usual terminal fields.
+func (c *Coordinator) Status(id string) (*serve.JobStatus, error) {
 	c.mu.Lock()
-	j, ok := c.jobs[r.PathValue("id")]
+	j, ok := c.jobs[id]
 	c.mu.Unlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("%w: %s", ErrUnknownJob, r.PathValue("id")))
-		return
+		return nil, fmt.Errorf("%w: %s", serve.ErrUnknownJob, id)
 	}
 	j.mu.Lock()
-	st := JobStatus{
+	st := &serve.JobStatus{
 		ID:            j.id,
 		Status:        j.state,
-		ProgramSHA256: j.digest,
+		ProgramSHA256: j.job.Digest,
 		Worker:        j.workerName,
 		RemoteID:      j.remoteID,
 		Attempts:      j.attempts,
@@ -556,23 +523,11 @@ func (c *Coordinator) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 		TraceID:       j.traceID,
 		Error:         j.errText,
 	}
-	terminal := j.state == serve.StateDone || j.state == serve.StateFailed
-	var final *serve.JobStatus
-	if terminal {
-		final = j.final
-	}
 	j.mu.Unlock()
-	if terminal {
-		if final != nil && final.ExitCode != nil {
-			st.ExitCode = final.ExitCode
-		} else {
-			code := 1
-			if st.Status == serve.StateDone {
-				code = 0
-			}
-			st.ExitCode = &code
-		}
-		st.Result = j.resultForClient()
+	if st.Status == serve.StateDone || st.Status == serve.StateFailed {
+		o := j.outcome()
+		st.ExitCode = &o.ExitCode
+		st.Result = j.job.ClientResult(o.Result)
 	}
-	writeJSON(w, http.StatusOK, st)
+	return st, nil
 }

@@ -1,11 +1,12 @@
 // Package fabric is the distributed sweep fabric: a coordinator that
-// shards sweep cross-products across a fleet of ximdd workers over the
-// existing HTTP/JSON job API (cmd/ximdc is the daemon wrapper).
+// runs jobs and sweep cross-products across a fleet of ximdd workers
+// over their HTTP/JSON job API (cmd/ximdc is the daemon wrapper).
 //
-// The coordinator expands a sweep request into its variant list — the
-// same expansion, in the same order, with the same task names as a
-// single-node sweep (serve.ExpandVariants) — and routes each variant
-// as one job:
+// The coordinator serves the same handler set a worker does
+// (serve.API): request validation, sweep expansion and merge, the
+// archive endpoints and the error contract are ximdd's code. This
+// package is only the fleet Executor beneath it, which routes each job
+// to a worker:
 //
 //   - Digest-affinity routing: workers are ranked per program by
 //     rendezvous hashing on the program SHA-256, so every job of one
@@ -33,16 +34,15 @@
 //     harmless for the same reason requeue is: both copies produce the
 //     same bytes.
 //
-// Results merge in submission order, and terminal documents are
-// appended to the coordinator's run archive, so GET /v1/runs and
-// POST /v1/regress work fleet-wide exactly as they do on one node.
+// The shared layer merges results in submission order and appends
+// terminal documents to the coordinator's run archive, so GET /v1/runs
+// and POST /v1/regress work fleet-wide exactly as they do on one node.
 package fabric
 
 import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -52,9 +52,7 @@ import (
 	"time"
 
 	"ximd/internal/archive"
-	"ximd/internal/inject"
 	"ximd/internal/obs"
-	"ximd/internal/runner"
 	"ximd/internal/serve"
 	"ximd/internal/xlog"
 )
@@ -95,7 +93,8 @@ type Options struct {
 	// MaxConcurrentSweeps bounds simultaneous synchronous sweeps;
 	// <= 0 selects 4.
 	MaxConcurrentSweeps int
-	// MaxSourceBytes caps a submitted program; <= 0 selects 1 MiB.
+	// MaxSourceBytes caps a submitted program; <= 0 selects 1 MiB (the
+	// worker default).
 	MaxSourceBytes int64
 	// HTTPTimeout bounds one worker HTTP request; <= 0 selects 10s.
 	HTTPTimeout time.Duration
@@ -140,28 +139,24 @@ func (o Options) withDefaults() Options {
 	if o.MaxConcurrentSweeps <= 0 {
 		o.MaxConcurrentSweeps = 4
 	}
-	if o.MaxSourceBytes <= 0 {
-		o.MaxSourceBytes = 1 << 20
-	}
 	if o.HTTPTimeout <= 0 {
 		o.HTTPTimeout = 10 * time.Second
 	}
 	return o
 }
 
-// Coordinator owns the fleet: worker clients and their health, the
-// fabric job table, and the HTTP API. Create with New, mount Handler,
-// drain with Shutdown.
+// Coordinator owns the fleet: worker clients and their health and the
+// fabric job table, beneath the shared HTTP API it executes for.
+// Create with New, mount Handler, drain with Shutdown.
 type Coordinator struct {
 	opts Options
 	// id is this coordinator's lease identity.
-	id       string
-	mux      *http.ServeMux
-	met      *fabricMetrics
-	arch     *archive.Archive
-	workers  []*worker
-	sweepSem chan struct{}
-	log      *slog.Logger
+	id      string
+	mux     *http.ServeMux
+	api     *serve.API
+	met     *fabricMetrics
+	workers []*worker
+	log     *slog.Logger
 
 	// Distributed tracing: tr mints coordinator-side spans (request
 	// roots, placements) into spanStore; finalize imports worker-side
@@ -170,26 +165,15 @@ type Coordinator struct {
 	tr        *obs.Tracer
 	spanStore *obs.SpanStore
 
-	mu                 sync.Mutex
-	jobs               map[string]*cjob
-	sweeps             map[string]*fleetSweep
-	nextJob, nextSweep uint64
-	closed             bool
+	mu      sync.Mutex
+	jobs    map[string]*cjob
+	nextJob uint64
+	closed  bool
 
 	rootCtx context.Context
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
 }
-
-// Errors the submission path maps to HTTP statuses.
-var (
-	// ErrShuttingDown rejects submissions during coordinator shutdown.
-	ErrShuttingDown = errors.New("fabric: coordinator shutting down")
-	// ErrUnknownJob reports a fabric job id that was never issued.
-	ErrUnknownJob = errors.New("fabric: unknown job")
-	// ErrUnknownSweep reports a fleet sweep id that was never issued.
-	ErrUnknownSweep = errors.New("fabric: unknown sweep")
-)
 
 // New builds a Coordinator over the configured worker fleet, performs
 // one synchronous lease round (workers that are down stay unleased and
@@ -202,14 +186,11 @@ func New(opts Options) (*Coordinator, error) {
 	var idb [6]byte
 	_, _ = rand.Read(idb[:])
 	c := &Coordinator{
-		opts:     opts,
-		id:       "c-" + hex.EncodeToString(idb[:]),
-		mux:      http.NewServeMux(),
-		met:      newFabricMetrics(),
-		arch:     opts.Archive,
-		sweepSem: make(chan struct{}, opts.MaxConcurrentSweeps),
-		jobs:     make(map[string]*cjob),
-		sweeps:   make(map[string]*fleetSweep),
+		opts: opts,
+		id:   "c-" + hex.EncodeToString(idb[:]),
+		mux:  http.NewServeMux(),
+		met:  newFabricMetrics(),
+		jobs: make(map[string]*cjob),
 	}
 	c.spanStore = obs.NewSpanStore(0)
 	c.tr = obs.NewTracer("ximdc", c.spanStore)
@@ -233,10 +214,6 @@ func New(opts Options) (*Coordinator, error) {
 			}
 			return float64(n)
 		})
-	if c.arch != nil {
-		c.met.reg.GaugeFunc("ximdc_archive_records", "Records indexed in the fleet-wide run archive.",
-			func() float64 { return float64(c.arch.Len()) })
-	}
 	c.rootCtx, c.cancel = context.WithCancel(context.Background())
 
 	// One synchronous lease round so a coordinator started after its
@@ -245,19 +222,22 @@ func New(opts Options) (*Coordinator, error) {
 	c.wg.Add(1)
 	go c.heartbeatLoop()
 
-	c.mux.HandleFunc("POST /v1/jobs", c.handleSubmit)
-	c.mux.HandleFunc("GET /v1/jobs/{id}", c.handleJobStatus)
-	c.mux.HandleFunc("POST /v1/sweeps", c.handleSweep)
-	c.mux.HandleFunc("GET /v1/sweeps/{id}", c.handleSweepStatus)
+	c.api = serve.NewAPI(serve.APIConfig{
+		Service:             "ximdc",
+		Executor:            c,
+		Archive:             opts.Archive,
+		Metrics:             c.met.reg,
+		Tracer:              c.tr,
+		Spans:               c.spanStore,
+		MaxSourceBytes:      opts.MaxSourceBytes,
+		MaxSweepTasks:       opts.MaxSweepTasks,
+		MaxConcurrentSweeps: opts.MaxConcurrentSweeps,
+	})
+	c.api.Register(c.mux)
 	c.mux.HandleFunc("GET /v1/fleet", c.handleFleet)
-	c.mux.HandleFunc("GET /v1/runs", c.handleRuns)
-	c.mux.HandleFunc("POST /v1/regress", c.handleRegress)
 	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
 	c.mux.HandleFunc("GET /livez", c.handleHealthz)
 	c.mux.HandleFunc("GET /readyz", c.handleReadyz)
-	c.mux.Handle("GET /v1/traces", obs.TraceListHandler(c.spanStore))
-	c.mux.Handle("GET /v1/traces/{id}", obs.TraceTreeHandler(c.spanStore))
-	c.mux.Handle("GET /metrics", c.met.reg.Handler())
 	return c, nil
 }
 
@@ -288,57 +268,11 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	}
 }
 
-func (c *Coordinator) shuttingDown() bool {
+// ShuttingDown reports whether Shutdown has begun.
+func (c *Coordinator) ShuttingDown() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.closed
-}
-
-// validate checks a job request the way a worker would — arch, source
-// xor image, size cap, inject grammar — so a bad sweep is rejected at
-// the coordinator's door instead of fanning out N per-variant 400s. It
-// returns the program digest (the affinity key; identical to the
-// worker-reported program_sha256) and the canonical inject spec.
-func (c *Coordinator) validate(req *serve.JobRequest) (digest string, arch runner.Arch, canon string, err error) {
-	arch, err = runner.ParseArch(req.Arch)
-	if err != nil {
-		return "", "", "", err
-	}
-	var source []byte
-	switch {
-	case req.Source != "" && len(req.Image) > 0:
-		return "", "", "", errors.New("request sets both source and image")
-	case req.Source != "":
-		source = []byte(req.Source)
-	case len(req.Image) > 0:
-		source = req.Image
-	default:
-		return "", "", "", errors.New("request needs source (assembly text) or image (binary program)")
-	}
-	if int64(len(source)) > c.opts.MaxSourceBytes {
-		return "", "", "", fmt.Errorf("program is %d bytes, limit %d", len(source), c.opts.MaxSourceBytes)
-	}
-	canon, err = inject.Canonicalize(req.Inject)
-	if err != nil {
-		return "", "", "", err
-	}
-	return archive.ProgramDigest(arch, source), arch, canon, nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -347,7 +281,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if c.shuttingDown() {
+	if c.ShuttingDown() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
@@ -401,5 +335,5 @@ func (c *Coordinator) handleFleet(w http.ResponseWriter, r *http.Request) {
 	for _, wk := range c.workers {
 		resp.Workers = append(resp.Workers, wk.fleetView())
 	}
-	writeJSON(w, http.StatusOK, resp)
+	serve.WriteJSON(w, http.StatusOK, resp)
 }

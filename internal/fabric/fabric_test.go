@@ -395,7 +395,7 @@ func TestStealFromStraggler(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(10 * time.Second)
-	var st JobStatus
+	var st serve.JobStatus
 	for {
 		resp, body := getBody(t, f.coordTS.URL+"/v1/jobs/"+sub.ID)
 		if resp.StatusCode != http.StatusOK {

@@ -6,8 +6,10 @@ import (
 
 // fabricMetrics is the coordinator's instrumentation, one obs.Registry
 // per Coordinator (tests and multi-coordinator processes never share
-// counters). Naming follows the worker convention with the ximdc_
-// prefix: counters end in _total, duration histograms in _seconds.
+// counters); the shared API registers its sweep, regress and archive
+// family into the same registry. Naming follows the worker convention
+// with the ximdc_ prefix: counters end in _total, duration histograms
+// in _seconds.
 type fabricMetrics struct {
 	reg *obs.Registry
 
@@ -32,15 +34,6 @@ type fabricMetrics struct {
 	heartbeatMisses  *obs.Counter
 	workersLost      *obs.Counter
 	workersRecovered *obs.Counter
-
-	// Sweeps and the archive-backed endpoints.
-	sweepsTotal       *obs.Counter
-	sweepTasks        *obs.Counter
-	archiveAppends    *obs.Counter
-	archiveAppendErrs *obs.Counter
-	archiveQueries    *obs.Counter
-	regressTotal      *obs.Counter
-	regressFailed     *obs.Counter
 
 	submitSecs *obs.Histogram
 	roundtrip  *obs.Histogram
@@ -76,14 +69,6 @@ func newFabricMetrics() *fabricMetrics {
 		heartbeatMisses:  reg.Counter("ximdc_heartbeat_misses_total", "Lease renewals that failed."),
 		workersLost:      reg.Counter("ximdc_workers_lost_total", "Workers marked lost after consecutive missed heartbeats."),
 		workersRecovered: reg.Counter("ximdc_workers_recovered_total", "Lost workers that leased again."),
-
-		sweepsTotal:       reg.Counter("ximdc_sweeps_total", "Fleet sweep requests accepted."),
-		sweepTasks:        reg.Counter("ximdc_sweep_tasks_total", "Sweep variants fanned out as fabric jobs."),
-		archiveAppends:    reg.Counter("ximdc_archive_appends_total", "Terminal job documents appended to the fleet-wide run archive."),
-		archiveAppendErrs: reg.Counter("ximdc_archive_append_errors_total", "Archive appends that failed (record dropped, job unaffected)."),
-		archiveQueries:    reg.Counter("ximdc_archive_queries_total", "GET /v1/runs archive queries served."),
-		regressTotal:      reg.Counter("ximdc_regress_total", "POST /v1/regress gate evaluations."),
-		regressFailed:     reg.Counter("ximdc_regress_failed_total", "Regression gate evaluations that did not pass."),
 
 		submitSecs: reg.Histogram("ximdc_submit_seconds", "Latency of one job submission to a worker.", fabricBuckets),
 		roundtrip:  reg.Histogram("ximdc_job_roundtrip_seconds", "Fabric job time from acceptance to terminal state, across requeues.", fabricBuckets),

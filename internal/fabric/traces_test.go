@@ -31,7 +31,7 @@ func fetchTree(t *testing.T, base, traceID string) []obs.TreeLine {
 	return lines
 }
 
-func waitFabricDone(t *testing.T, base, id string) JobStatus {
+func waitFabricDone(t *testing.T, base, id string) serve.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(20 * time.Second)
 	for {
@@ -39,7 +39,7 @@ func waitFabricDone(t *testing.T, base, id string) JobStatus {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status: %d: %s", resp.StatusCode, body)
 		}
-		var st JobStatus
+		var st serve.JobStatus
 		if err := json.Unmarshal(body, &st); err != nil {
 			t.Fatal(err)
 		}

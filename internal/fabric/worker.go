@@ -194,7 +194,9 @@ func (w *worker) postJSON(ctx context.Context, path string, body, out any, hdr .
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
 		return resp.StatusCode, json.Unmarshal(data, out)
 	}
-	var eb errorBody
+	var eb struct {
+		Error string `json:"error"`
+	}
 	if json.Unmarshal(data, &eb) == nil && eb.Error != "" {
 		return resp.StatusCode, errors.New(eb.Error)
 	}

@@ -94,7 +94,7 @@ func (s *Server) handleLivez(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if s.mgr.shuttingDown() {
+	if s.mgr.ShuttingDown() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
@@ -139,13 +139,13 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	s.lease.mu.Unlock()
 
-	writeJSON(w, http.StatusOK, LeaseResponse{
+	WriteJSON(w, http.StatusOK, LeaseResponse{
 		WorkerID:      s.workerID,
 		TTLMS:         int64(ttl / time.Millisecond),
 		Executors:     s.opts.Workers,
 		QueueCapacity: s.opts.QueueDepth,
 		Queued:        s.mgr.met.queued.Value(),
 		Running:       s.mgr.met.running.Value(),
-		Draining:      s.mgr.shuttingDown(),
+		Draining:      s.mgr.ShuttingDown(),
 	})
 }

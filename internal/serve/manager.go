@@ -12,7 +12,6 @@ import (
 
 	"ximd/internal/archive"
 	"ximd/internal/ckpt"
-	"ximd/internal/hostcfg"
 	"ximd/internal/obs"
 	"ximd/internal/runner"
 	"ximd/internal/sweep"
@@ -30,40 +29,17 @@ const (
 	StateFailed  State = "failed"
 )
 
-// Errors the submission path maps to HTTP statuses.
-var (
-	// ErrQueueFull is the backpressure signal: the bounded submission
-	// queue is at capacity (HTTP 429 + Retry-After).
-	ErrQueueFull = errors.New("serve: submission queue full")
-	// ErrShuttingDown rejects submissions during graceful shutdown
-	// (HTTP 503).
-	ErrShuttingDown = errors.New("serve: shutting down")
-	// ErrUnknownJob reports a job id that was never issued (HTTP 404).
-	ErrUnknownJob = errors.New("serve: unknown job")
-)
-
-// job is the manager's record of one submitted simulation.
+// job is the manager's record of one submitted simulation. The
+// embedded Job's Req is kept for the write-ahead journal: an
+// "accepted" record carries it verbatim so a restarted process can
+// rebuild this job.
 type job struct {
-	id       string
-	prog     *runner.Program
-	progSHA  string
-	cacheHit bool
-	spec     runner.Spec
-	peeks    []hostcfg.MemPeek
-	trace    bool
-	profile  bool
-	flight   int
-	// canonInject is the canonical form of spec.Inject (the archive
-	// key's inject axis), fixed at submit.
-	canonInject string
-	decodeDur   time.Duration
-	// req is the validated request the job was built from, kept for the
-	// write-ahead journal: an "accepted" record carries it verbatim so a
-	// restarted process can rebuild this job. nil when journaling is off.
-	req *JobRequest
+	*Job
+	id string
 	// ckptKey binds this job's durable checkpoints to its identity (a
 	// digest of the canonical request JSON). A checkpoint on disk whose
 	// Key differs belongs to a different run and must not be restored.
+	// Empty when the manager keeps no checkpoints.
 	ckptKey string
 	// ckpt is the recovered checkpoint to resume from, set only on jobs
 	// rebuilt by crash recovery that had a valid checkpoint on disk.
@@ -112,15 +88,6 @@ type manager struct {
 	closed bool
 	cache  *progCache
 
-	// sweeps tracks detached sweep batches by id ("s-N"). The records
-	// are views over the job table — aggregate status is derived from
-	// the member jobs' states at read time, so there is no separate
-	// lifecycle to keep consistent. Sweep ids are volatile: the member
-	// jobs are individually journaled and survive a crash under their
-	// original ids, the grouping does not.
-	sweeps      map[string]*sweepRec
-	nextSweepID uint64
-
 	rootCtx context.Context
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
@@ -130,8 +97,9 @@ type manager struct {
 	met *serveMetrics
 
 	// arch is the durable run archive (nil = disabled); terminal jobs
-	// and sweep tasks are appended at completion.
+	// are appended through api at completion.
 	arch *archive.Archive
+	api  *API
 
 	// Durable job state (nil = disabled): jnl is the write-ahead job
 	// journal, ckpts the per-job checkpoint store, ckptEvery the
@@ -163,7 +131,6 @@ func newManager(opts Options) *manager {
 		workers:    opts.Workers,
 		jobTimeout: opts.JobTimeout,
 		jobs:       make(map[string]*job),
-		sweeps:     make(map[string]*sweepRec),
 		queue:      make(chan *job, opts.QueueDepth),
 		met:        newServeMetrics(),
 		arch:       opts.Archive,
@@ -182,10 +149,6 @@ func newManager(opts Options) *manager {
 			return float64(m.cache.len())
 		})
 	m.cache = newProgCache(opts.CacheEntries, m.met.cacheHits, m.met.cacheMisses)
-	if m.arch != nil {
-		m.met.reg.GaugeFunc("ximdd_archive_records", "Records indexed in the durable run archive.",
-			func() float64 { return float64(m.arch.Len()) })
-	}
 	m.rootCtx, m.cancel = context.WithCancel(context.Background())
 	return m
 }
@@ -247,7 +210,7 @@ func (m *manager) submit(j *job) error {
 	m.nextID++
 	j.id = "j-" + strconv.FormatUint(m.nextID, 10)
 	if m.jnl != nil {
-		if _, err := m.jnl.append(journalRecord{T: journalAccepted, ID: j.id, Req: j.req}); err != nil {
+		if _, err := m.jnl.append(journalRecord{T: journalAccepted, ID: j.id, Req: &j.Req}); err != nil {
 			// The durability promise cannot be kept; reject rather than
 			// accept a job a crash would silently lose.
 			return fmt.Errorf("serve: write-ahead journal: %w", err)
@@ -266,22 +229,13 @@ func (m *manager) submit(j *job) error {
 	return nil
 }
 
-// sweepRec groups the jobs of one detached sweep, in submission order.
-type sweepRec struct {
-	id       string
-	progSHA  string
-	cacheHit bool
-	variants []Variant
-	jobs     []*job
-}
-
 // submitSweep admits a detached sweep's jobs atomically: the whole
 // batch fits the queue or none of it is accepted (ErrQueueFull). Each
 // job goes through the same acceptance protocol as a single submit —
 // id assignment, write-ahead journaling, enqueue — under one critical
-// section, and the sweep record is registered with the batch so a
-// client can never observe a sweep id whose jobs are missing.
-func (m *manager) submitSweep(jobs []*job, rec *sweepRec) error {
+// section. Every job's span carries sweepID before it hits the queue,
+// where a worker may finish it (and freeze its spans) at once.
+func (m *manager) submitSweep(jobs []*job, sweepID string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -296,7 +250,7 @@ func (m *manager) submitSweep(jobs []*job, rec *sweepRec) error {
 		m.nextID++
 		j.id = "j-" + strconv.FormatUint(m.nextID, 10)
 		if m.jnl != nil {
-			if _, err := m.jnl.append(journalRecord{T: journalAccepted, ID: j.id, Req: j.req}); err != nil {
+			if _, err := m.jnl.append(journalRecord{T: journalAccepted, ID: j.id, Req: &j.Req}); err != nil {
 				// The batch's earlier "accepted" records are already
 				// durable but their jobs were not enqueued; journal them
 				// terminal so a crash-restart does not replay half a sweep
@@ -308,76 +262,151 @@ func (m *manager) submitSweep(jobs []*job, rec *sweepRec) error {
 			}
 		}
 	}
-	// The sweep id is allocated before the enqueue loop so every member
-	// job's span can carry it — a worker may finish a job (and freeze
-	// its spans) the moment it hits the queue.
-	m.nextSweepID++
-	rec.id = "s-" + strconv.FormatUint(m.nextSweepID, 10)
 	for _, j := range jobs {
 		j.state = StateQueued
 		j.submitted = m.now()
 		j.span.SetAttr("job_id", j.id)
-		j.span.SetAttr("sweep_id", rec.id)
+		j.span.SetAttr("sweep_id", sweepID)
 		j.qwSpan = j.span.Child("queue_wait")
 		m.queue <- j
 		m.jobs[j.id] = j
 		m.met.jobsTotal.Inc()
 		m.met.queued.Add(1)
 	}
-	m.sweeps[rec.id] = rec
 	return nil
 }
 
-// sweepStatus derives a detached sweep's aggregate view from its
-// member jobs' current states.
-func (m *manager) sweepStatus(id string) (*SweepStatus, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	rec, ok := m.sweeps[id]
-	if !ok {
-		return nil, fmt.Errorf("serve: unknown sweep: %s", id)
+// The manager is ximdd's Executor: jobs run in-process on the worker
+// pool, synchronous batches on the sweep engine.
+
+// Load resolves program bytes through the decoded-program cache,
+// recording the resolution time in the hit- or miss-labelled series.
+func (m *manager) Load(arch runner.Arch, source []byte) (*runner.Program, string, bool, error) {
+	start := time.Now()
+	prog, key, hit, err := m.loadProgram(arch, source)
+	if err == nil {
+		m.met.observeDecode(time.Since(start), hit)
 	}
-	st := &SweepStatus{
-		ID:            rec.id,
-		ProgramSHA256: rec.progSHA,
-		CacheHit:      rec.cacheHit,
+	return prog, key, hit, err
+}
+
+// newJob wraps a validated Job in the manager's record, binding it to
+// its checkpoints when the manager keeps them.
+func (m *manager) newJob(pj *Job, span *obs.Span) *job {
+	j := &job{Job: pj, span: span}
+	if m.ckpts != nil {
+		j.ckptKey = checkpointKey(&pj.Req)
 	}
-	for i, j := range rec.jobs {
-		vs := SweepVariantStatus{
-			Name:   rec.variants[i].Name,
-			Seed:   rec.variants[i].Seed,
-			Inject: rec.variants[i].Inject,
-			JobID:  j.id,
-			Status: j.state,
-		}
-		switch j.state {
-		case StateQueued:
-			st.Queued++
-		case StateRunning:
-			st.Running++
-		case StateDone:
-			st.Done++
-		case StateFailed:
-			st.Failed++
-		}
-		if j.state == StateDone || j.state == StateFailed {
-			code := runner.ExitCode(j.err)
-			vs.ExitCode = &code
-			if j.err != nil {
-				vs.Error = j.err.Error()
+	return j
+}
+
+// Submit admits one job. Its span is the job root, adopted from the
+// caller's context (a coordinator's placement) or a fresh root.
+func (m *manager) Submit(pj *Job, sc obs.SpanContext) (string, obs.SpanContext, error) {
+	span := m.tr.Adopt(sc, "job")
+	span.SetAttr("digest", pj.Digest)
+	span.SetAttr("arch", string(pj.Arch))
+	decode := span.Child("decode")
+	if pj.CacheHit {
+		decode.SetAttr("cache", "hit")
+	} else {
+		decode.SetAttr("cache", "miss")
+	}
+	decode.FinishWith(pj.decodeDur)
+	j := m.newJob(pj, span)
+	if err := m.submit(j); err != nil {
+		span.SetAttr("error", err.Error())
+		span.Finish()
+		return "", obs.SpanContext{}, err
+	}
+	return j.id, span.Context(), nil
+}
+
+// SubmitSweep admits a detached sweep's jobs atomically, each rooting
+// its lifecycle subtree under span.
+func (m *manager) SubmitSweep(pjs []*Job, sweepID string, span *obs.Span) ([]string, error) {
+	jobs := make([]*job, len(pjs))
+	for i, pj := range pjs {
+		jobs[i] = m.newJob(pj, span.Child("job"))
+	}
+	if err := m.submitSweep(jobs, sweepID); err != nil {
+		return nil, err
+	}
+	ids := make([]string, len(jobs))
+	for i, j := range jobs {
+		ids[i] = j.id
+	}
+	return ids, nil
+}
+
+// RunBatch runs the jobs over the sweep engine's worker pool — not the
+// job queue — with one "variant" span per task. Outcomes carry the
+// fully profiled document the archive keeps.
+func (m *manager) RunBatch(jobs []*Job, span *obs.Span) ([]Outcome, []string) {
+	docs := make([]*runner.ResultDoc, len(jobs))
+	tasks := make([]sweep.Task, len(jobs))
+	for i, j := range jobs {
+		tasks[i] = sweep.Task{Name: j.Name, Run: func(ctx context.Context) (sweep.Outcome, error) {
+			vs := span.Child("variant")
+			vs.SetAttr("name", j.Name)
+			res, err := runner.Run(ctx, j.prog, j.spec, runner.Options{Span: vs})
+			if err != nil {
+				vs.SetAttr("error", err.Error())
+				vs.Finish()
+				return sweep.Outcome{}, err
 			}
-		}
-		st.Variants = append(st.Variants, vs)
+			vs.Finish()
+			doc := runner.NewResultDoc(res, j.peeks, true)
+			docs[i] = &doc
+			return sweep.Outcome{Cycles: res.Cycles, Stats: res.Stats}, nil
+		}}
 	}
-	switch {
-	case st.Done == len(rec.jobs):
-		st.Status = StateDone
-	case st.Done+st.Failed == len(rec.jobs):
-		st.Status = StateFailed
-	case st.Queued == len(rec.jobs):
-		st.Status = StateQueued
-	default:
-		st.Status = StateRunning
+	results, _ := sweep.Run(m.rootCtx, tasks, sweep.Options{
+		Workers:     m.workers,
+		TaskTimeout: m.jobTimeout,
+	})
+	outs := make([]Outcome, len(jobs))
+	for i, res := range results {
+		m.met.cyclesSimmed.Add(res.Cycles)
+		m.met.sweepTask.Observe(res.Duration.Seconds())
+		outs[i].ExitCode = runner.ExitCode(res.Err)
+		if res.Err != nil {
+			// A failed task may have raced its document into place
+			// before the deadline fired; the failure verdict wins.
+			outs[i].Err = res.Err.Error()
+		} else {
+			outs[i].Result = docs[i]
+		}
+	}
+	return outs, nil
+}
+
+// Status reports one job; the result document, timings and exit code
+// appear once it is terminal.
+func (m *manager) Status(id string) (*JobStatus, error) {
+	j, err := m.get(id)
+	if err != nil {
+		return nil, err
+	}
+	v := m.snapshot(j)
+	st := &JobStatus{
+		ID:            j.id,
+		Status:        v.state,
+		ProgramSHA256: j.Digest,
+		CacheHit:      j.CacheHit,
+		Result:        v.doc,
+		QueuedMS:      v.queuedMS,
+		RunMS:         v.runMS,
+	}
+	if v.state == StateDone || v.state == StateFailed {
+		code := runner.ExitCode(v.err)
+		st.ExitCode = &code
+	}
+	if v.err != nil {
+		st.Error = v.err.Error()
+	}
+	for i := range v.flight {
+		st.Flight = append(st.Flight, traceLine(&v.flight[i]))
 	}
 	return st, nil
 }
@@ -415,11 +444,11 @@ func (m *manager) worker() {
 			_, _ = m.jnl.append(journalRecord{T: journalStarted, ID: j.id})
 		}
 		ropts := runner.Options{
-			Trace:        j.trace,
+			Trace:        j.Req.Trace,
 			FlightCycles: j.flight,
 			Span:         j.execSpan,
 		}
-		if m.ckpts != nil && !j.trace {
+		if m.ckpts != nil && !j.Req.Trace {
 			// Traced jobs never checkpoint: a resumed run cannot
 			// reconstruct the pre-crash trace records, so recovery reruns
 			// them cold instead (deterministic, so the client cannot tell).
@@ -520,7 +549,7 @@ func (m *manager) finish(j *job, res runner.Result, err error, execDur time.Dura
 		total = 0
 	}
 	detail := "cache_miss"
-	if j.cacheHit {
+	if j.CacheHit {
 		detail = "cache_hit"
 	}
 	j.spans = []SpanLine{
@@ -530,7 +559,7 @@ func (m *manager) finish(j *job, res runner.Result, err error, execDur time.Dura
 		{Span: "total", Ms: ms(total)},
 	}
 	if err == nil {
-		doc := runner.NewResultDoc(res, j.peeks, j.profile)
+		doc := runner.NewResultDoc(res, j.peeks, j.Req.Profile)
 		j.doc = &doc
 	}
 	m.mu.Unlock()
@@ -599,12 +628,7 @@ func (m *manager) archiveJob(j *job) {
 	}
 	m.mu.Lock()
 	rec := archive.Record{
-		Key: archive.Key{
-			ProgramSHA256: j.progSHA,
-			Arch:          string(j.prog.Arch()),
-			Seed:          j.spec.Seed,
-			Inject:        j.canonInject,
-		},
+		Key:      j.archiveKey(),
 		ExitCode: runner.ExitCode(j.err),
 		UnixMS:   m.now().UnixMilli(),
 	}
@@ -622,28 +646,7 @@ func (m *manager) archiveJob(j *job) {
 		rec.Spans = append(rec.Spans, archive.Span{Name: sp.Span, Ms: sp.Ms, Detail: sp.Detail})
 	}
 	m.mu.Unlock()
-	m.appendArchive(rec)
-}
-
-// wallMS reads the manager's clock (under the lock, per its contract)
-// as a unix-milliseconds archive timestamp.
-func (m *manager) wallMS() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.now().UnixMilli()
-}
-
-// appendArchive writes one record to the archive, tracking outcome
-// metrics. The caller must have checked m.arch != nil.
-func (m *manager) appendArchive(rec archive.Record) {
-	start := time.Now()
-	err := m.arch.Append(rec)
-	m.met.archiveAppendSecs.Observe(time.Since(start).Seconds())
-	if err != nil {
-		m.met.archiveAppendErrs.Inc()
-		return
-	}
-	m.met.archiveAppends.Inc()
+	m.api.Record(rec)
 }
 
 // get returns the job record for id.
@@ -712,8 +715,8 @@ func (m *manager) pendingForJournal() []replayJob {
 	defer m.mu.Unlock()
 	var out []replayJob
 	for _, j := range m.jobs {
-		if (j.state == StateQueued || j.state == StateRunning) && j.req != nil {
-			out = append(out, replayJob{id: j.id, req: *j.req, started: j.state == StateRunning})
+		if j.state == StateQueued || j.state == StateRunning {
+			out = append(out, replayJob{id: j.id, req: j.Req, started: j.state == StateRunning})
 		}
 	}
 	sort.Slice(out, func(a, b int) bool {
@@ -724,8 +727,8 @@ func (m *manager) pendingForJournal() []replayJob {
 	return out
 }
 
-// shuttingDown reports whether Shutdown has begun.
-func (m *manager) shuttingDown() bool {
+// ShuttingDown reports whether Shutdown has begun.
+func (m *manager) ShuttingDown() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.closed

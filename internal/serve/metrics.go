@@ -28,14 +28,6 @@ type serveMetrics struct {
 	cacheHits      *obs.Counter
 	cacheMisses    *obs.Counter
 	cyclesSimmed   *obs.Counter
-	sweepsRun      *obs.Counter
-	sweepTasks     *obs.Counter
-
-	archiveAppends    *obs.Counter
-	archiveAppendErrs *obs.Counter
-	archiveQueries    *obs.Counter
-	regressTotal      *obs.Counter
-	regressFailed     *obs.Counter
 
 	jobsRequeued *obs.Counter
 	jobsResumed  *obs.Counter
@@ -49,8 +41,7 @@ type serveMetrics struct {
 	queueCapacity *obs.Gauge
 	workers       *obs.Gauge
 
-	archiveAppendSecs *obs.Histogram
-	ckptSaveSecs      *obs.Histogram
+	ckptSaveSecs *obs.Histogram
 
 	queueWait  *obs.Histogram
 	decodeHit  *obs.Histogram
@@ -81,14 +72,6 @@ func newServeMetrics() *serveMetrics {
 		cacheHits:      reg.Counter("ximdd_cache_hits_total", "Decoded-program cache hits."),
 		cacheMisses:    reg.Counter("ximdd_cache_misses_total", "Decoded-program cache misses."),
 		cyclesSimmed:   reg.Counter("ximdd_cycles_simulated_total", "Machine cycles simulated across jobs and sweep tasks."),
-		sweepsRun:      reg.Counter("ximdd_sweeps_total", "Sweep requests executed."),
-		sweepTasks:     reg.Counter("ximdd_sweep_tasks_total", "Individual sweep tasks executed."),
-
-		archiveAppends:    reg.Counter("ximdd_archive_appends_total", "Records appended to the durable run archive."),
-		archiveAppendErrs: reg.Counter("ximdd_archive_append_errors_total", "Archive appends that failed (record dropped, run unaffected)."),
-		archiveQueries:    reg.Counter("ximdd_archive_queries_total", "GET /v1/runs archive queries served."),
-		regressTotal:      reg.Counter("ximdd_regress_total", "POST /v1/regress gate evaluations."),
-		regressFailed:     reg.Counter("ximdd_regress_failed_total", "Regression gate evaluations that did not pass."),
 
 		jobsRequeued: reg.Counter("ximdd_jobs_requeued_total", "Journaled jobs re-enqueued from scratch after a restart (never started, or no usable checkpoint and never run)."),
 		jobsResumed:  reg.Counter("ximdd_jobs_resumed_total", "Journaled jobs resumed from a durable checkpoint after a restart."),
@@ -102,8 +85,7 @@ func newServeMetrics() *serveMetrics {
 		queueCapacity: reg.Gauge("ximdd_queue_capacity", "Configured submission queue depth."),
 		workers:       reg.Gauge("ximdd_workers", "Configured worker pool size."),
 
-		archiveAppendSecs: reg.Histogram("ximdd_archive_append_seconds", "Durable run archive append latency (frame write + fsync).", latencyBuckets),
-		ckptSaveSecs:      reg.Histogram("ximdd_checkpoint_save_seconds", "Durable checkpoint save latency (snapshot encode + frame write + fsync).", latencyBuckets),
+		ckptSaveSecs: reg.Histogram("ximdd_checkpoint_save_seconds", "Durable checkpoint save latency (snapshot encode + frame write + fsync).", latencyBuckets),
 
 		queueWait:  reg.Histogram("ximdd_job_queue_wait_seconds", "Time from job acceptance to execution start.", latencyBuckets),
 		decodeHit:  reg.Histogram("ximdd_job_decode_hit_seconds", "Program resolution time on a decoded-program cache hit.", latencyBuckets),
@@ -153,8 +135,8 @@ func (m *manager) varzJSON() string {
 		{"queue_depth", depth},
 		{"rejected_queue_full", int64(sm.rejectedFull.Value())},
 		{"rejected_shutting_down", int64(sm.rejectedClosed.Value())},
-		{"sweep_tasks", int64(sm.sweepTasks.Value())},
-		{"sweeps_run", int64(sm.sweepsRun.Value())},
+		{"sweep_tasks", int64(m.api.met.sweepTasks.Value())},
+		{"sweeps_run", int64(m.api.met.sweeps.Value())},
 		{"workers", sm.workers.Value()},
 	}
 	var b strings.Builder

@@ -1,22 +1,24 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
+	"time"
 
 	"ximd/internal/archive"
 	"ximd/internal/inject"
 	"ximd/internal/obs"
 )
 
-// This file is the service half of the regression gate. GET /v1/runs
-// queries the durable run archive; POST /v1/regress re-runs a batch of
-// (seed, inject) variations and diffs each fresh run against its
-// archived baseline under the archive's tolerance policy. Both answer
-// 404 when the server was started without -archive.
+// This file is the regression gate. GET /v1/runs queries the durable
+// run archive; POST /v1/regress re-runs a batch of (seed, inject)
+// variations and diffs each fresh run against its archived baseline
+// under the archive's tolerance policy. Both answer 404 when the daemon
+// was started without -archive. On ximdc the archive holds fleet
+// history, so a sweep run across four workers can gate a later one
+// across two.
 
 // RunsResponse is the body of GET /v1/runs.
 type RunsResponse struct {
@@ -28,9 +30,9 @@ type RunsResponse struct {
 // digest (program_sha256), arch, seed, inject (matched in canonical
 // form; an explicitly empty inject= selects idealized runs), limit
 // (newest N).
-func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
-	if s.mgr.arch == nil {
-		writeError(w, http.StatusNotFound, errors.New("serve: run archive disabled (start ximdd with -archive)"))
+func (a *API) handleRuns(w http.ResponseWriter, r *http.Request) {
+	if a.cfg.Archive == nil {
+		writeError(w, http.StatusNotFound, a.errNoArchive())
 		return
 	}
 	params := r.URL.Query()
@@ -62,12 +64,16 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		}
 		q.Limit = n
 	}
-	recs := s.mgr.arch.Select(q)
-	s.mgr.met.archiveQueries.Inc()
+	recs := a.cfg.Archive.Select(q)
+	a.met.archiveQueries.Inc()
 	if recs == nil {
 		recs = []archive.Record{}
 	}
-	writeJSON(w, http.StatusOK, RunsResponse{Count: len(recs), Runs: recs})
+	WriteJSON(w, http.StatusOK, RunsResponse{Count: len(recs), Runs: recs})
+}
+
+func (a *API) errNoArchive() error {
+	return fmt.Errorf("serve: run archive disabled (start %s with -archive)", a.cfg.Service)
 }
 
 // RegressRequest is the body of POST /v1/regress: the same shape as a
@@ -100,37 +106,24 @@ type RegressResponse struct {
 	Report        *archive.Report `json:"report"`
 }
 
-// handleRegress re-runs the requested batch on the sweep engine and
-// diffs each run against its archived baseline. The gate's verdict is
+// handleRegress re-runs the requested batch on the executor and diffs
+// each run against its archived baseline. The gate's verdict is
 // report.pass: false on any drift beyond tolerance or any missing
 // baseline. The HTTP status is 200 either way — a failing gate is a
 // successful evaluation.
-func (s *Server) handleRegress(w http.ResponseWriter, r *http.Request) {
-	if s.mgr.arch == nil {
-		writeError(w, http.StatusNotFound, errors.New("serve: run archive disabled (start ximdd with -archive)"))
+func (a *API) handleRegress(w http.ResponseWriter, r *http.Request) {
+	if a.cfg.Archive == nil {
+		writeError(w, http.StatusNotFound, a.errNoArchive())
 		return
 	}
-	if s.mgr.shuttingDown() {
-		s.setRetryAfter(w)
-		writeError(w, http.StatusServiceUnavailable, ErrShuttingDown)
+	// Regressions fan out like sweeps and share their concurrency bound
+	// and backpressure contract.
+	if !a.acquireSweep(w) {
 		return
 	}
-	// Regressions fan out on the sweep engine and share its concurrency
-	// bound and backpressure contract.
-	select {
-	case s.sweepSem <- struct{}{}:
-		defer func() { <-s.sweepSem }()
-	default:
-		s.setRetryAfter(w)
-		writeError(w, http.StatusTooManyRequests, errors.New("serve: sweep capacity in use"))
-		return
-	}
-
+	defer func() { <-a.sweepSem }()
 	var req RegressRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxSourceBytes*2))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !a.decode(w, r, &req) {
 		return
 	}
 	if req.Base.Trace {
@@ -150,50 +143,57 @@ func (s *Server) handleRegress(w http.ResponseWriter, r *http.Request) {
 		}
 		baselineInject = &canon
 	}
-	base, status, err := s.buildJob(&req.Base)
+	base, status, err := a.buildJob(&req.Base)
 	if err != nil {
 		writeError(w, status, err)
 		return
 	}
-	variants, err := s.expandSweep(base, req.Seeds, req.Injects)
+	variants, err := expandVariants(base.Req.Seed, base.Req.Inject, req.Seeds, req.Injects, a.cfg.MaxSweepTasks)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 
-	// Regression batches trace like sweeps: adopt the coordinator's
-	// context or root fresh, one variant child per re-run.
+	// Regression batches trace like sweeps: adopt the caller's context
+	// or root fresh, one child per re-run.
 	sc, _ := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
-	regSpan := s.mgr.tr.Adopt(sc, "regress")
-	regSpan.SetAttr("digest", base.progSHA)
-	_, _, recs := s.runSweepVariants(base, variants, regSpan)
-	regSpan.Finish()
+	span := a.cfg.Tracer.Adopt(sc, "regress")
+	span.SetAttr("digest", base.Digest)
+	jobs := base.variants(variants)
+	outs, _ := a.ex.RunBatch(jobs, span)
+	span.Finish()
+	w.Header().Set(obs.TraceHeader, obs.FormatTraceHeader(span.Context()))
 
+	now := time.Now().UnixMilli()
 	tol := archive.Tolerance{Ratio: req.Tolerance}
 	report := archive.NewReport(tol)
-	for i := range recs {
-		lookup := recs[i].Key
+	for i, j := range jobs {
+		rec := j.ArchiveRecord(outs[i], now)
+		lookup := rec.Key
 		if req.BaselineSeed != nil {
 			lookup.Seed = *req.BaselineSeed
 		}
 		if baselineInject != nil {
 			lookup.Inject = *baselineInject
 		}
-		baseline, ok := s.mgr.arch.Latest(lookup)
-		if !ok {
-			report.Add(archive.Comparison{Key: recs[i].Key, Status: archive.StatusMissingBaseline})
-			continue
+		if baseline, ok := a.cfg.Archive.Latest(lookup); ok {
+			report.Add(archive.Compare(baseline, rec, tol))
+		} else {
+			report.Add(archive.Comparison{Key: rec.Key, Status: archive.StatusMissingBaseline})
 		}
-		report.Add(archive.Compare(baseline, recs[i], tol))
 	}
-	s.mgr.met.regressTotal.Inc()
+	a.met.regress.Inc()
 	if !report.Pass {
-		s.mgr.met.regressFailed.Inc()
+		a.met.regressFailed.Inc()
 	}
 	if req.Record {
-		for i := range recs {
-			s.mgr.appendArchive(recs[i])
+		// Comparison happened first: a run never passes by matching
+		// itself.
+		for i, j := range jobs {
+			if !outs[i].Abandoned {
+				a.Record(j.ArchiveRecord(outs[i], now))
+			}
 		}
 	}
-	writeJSON(w, http.StatusOK, RegressResponse{ProgramSHA256: base.progSHA, Report: report})
+	WriteJSON(w, http.StatusOK, RegressResponse{ProgramSHA256: base.Digest, Report: report})
 }

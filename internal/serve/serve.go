@@ -4,28 +4,37 @@
 // a content-addressed decoded-program cache, explicit backpressure,
 // and graceful drain on shutdown. Everything is stdlib-only.
 //
+// The job API is one handler set (API, api.go) over an Executor. ximdd
+// runs it over the local manager; the fleet coordinator ximdc
+// (internal/fabric) runs the same handlers over its fleet dispatcher,
+// so both daemons validate, refuse and answer alike. Endpoints marked
+// [ximdd] are the worker daemon's alone.
+//
 // API:
 //
 //	POST /v1/jobs            submit a simulation; 202 + job id,
 //	                         429 + Retry-After when the queue is full,
 //	                         400 for malformed programs/specs (assembler
 //	                         diagnostics with line numbers pass through),
-//	                         503 while shutting down
+//	                         413 for an oversized program, 503 +
+//	                         Retry-After while shutting down
 //	GET  /v1/jobs/{id}       job status + result document when terminal
-//	GET  /v1/jobs/{id}/trace per-cycle trace as NDJSON (trace=true jobs)
-//	GET  /v1/jobs/{id}/spans span breakdown (queue wait, decode,
-//	                         execute, total) as NDJSON once terminal
+//	GET  /v1/jobs/{id}/trace [ximdd] per-cycle trace as NDJSON
+//	                         (trace=true jobs)
+//	GET  /v1/jobs/{id}/spans [ximdd] span breakdown (queue wait,
+//	                         decode, execute, total) as NDJSON once
+//	                         terminal
 //	GET  /v1/traces          distributed-trace summaries (newest first;
 //	                         ?job= ?sweep= ?digest= ?min_ms= filters)
 //	GET  /v1/traces/{id}     one trace's assembled span tree as NDJSON,
 //	                         depth-first with a computed depth field
-//	POST /v1/sweeps          synchronous batch fan-out over the sweep
-//	                         pool; results in submission order. With
-//	                         "detach":true the variants are admitted
-//	                         atomically as regular jobs and the response
-//	                         is 202 with a sweep id + per-variant job ids
-//	GET  /v1/sweeps/{id}     detached-sweep status: per-variant job ids
-//	                         and terminal states
+//	POST /v1/sweeps          synchronous batch fan-out; results in
+//	                         submission order. With "detach":true the
+//	                         variants are admitted atomically as regular
+//	                         jobs and the response is 202 with a sweep
+//	                         id + per-variant job ids
+//	GET  /v1/sweeps/{id}     sweep status: per-variant job ids and
+//	                         terminal states
 //	GET  /v1/runs            cross-run history from the durable run
 //	                         archive (digest/arch/seed/inject/limit
 //	                         filters); 404 without -archive
@@ -36,12 +45,13 @@
 //	GET  /livez              process liveness (always 200 "ok")
 //	GET  /readyz             routing readiness (503 "draining" during
 //	                         graceful shutdown)
-//	POST /v1/fabric/lease    fabric coordinator registration/heartbeat
-//	                         (exclusive TTL lease + load report)
+//	POST /v1/fabric/lease    [ximdd] fabric coordinator registration and
+//	                         heartbeat (exclusive TTL lease + load report)
 //	GET  /metrics            Prometheus text exposition (internal/obs)
-//	GET  /varz               queue/job/cache/cycle metrics — the legacy
-//	                         JSON view over the same registry, key- and
-//	                         byte-compatible with the old expvar output
+//	GET  /varz               [ximdd] queue/job/cache/cycle metrics — the
+//	                         legacy JSON view over the same registry,
+//	                         key- and byte-compatible with the old expvar
+//	                         output
 //
 // Distributed tracing: every POST /v1/jobs starts (or, when the
 // request carries an X-Ximd-Trace header, adopts) a trace whose span
@@ -71,14 +81,10 @@ import (
 	"net/http"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"time"
 
 	"ximd/internal/archive"
 	"ximd/internal/ckpt"
-	"ximd/internal/hostcfg"
-	"ximd/internal/inject"
-	"ximd/internal/obs"
 	"ximd/internal/runner"
 	"ximd/internal/trace"
 )
@@ -144,14 +150,8 @@ func (o Options) withDefaults() Options {
 	if o.JobTimeout <= 0 {
 		o.JobTimeout = 30 * time.Second
 	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = time.Second
-	}
 	if o.CacheEntries <= 0 {
 		o.CacheEntries = 256
-	}
-	if o.MaxSourceBytes <= 0 {
-		o.MaxSourceBytes = 1 << 20
 	}
 	if o.MaxSweepTasks <= 0 {
 		o.MaxSweepTasks = 1024
@@ -170,8 +170,8 @@ func (o Options) withDefaults() Options {
 type Server struct {
 	opts     Options
 	mgr      *manager
+	api      *API
 	mux      *http.ServeMux
-	sweepSem chan struct{}
 	recovery RecoveryInfo
 
 	// workerID and lease are the fabric worker identity: the id is
@@ -215,7 +215,6 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:     opts,
 		mux:      http.NewServeMux(),
-		sweepSem: make(chan struct{}, opts.MaxConcurrentSweeps),
 		workerID: newWorkerID(),
 	}
 
@@ -246,6 +245,20 @@ func New(opts Options) *Server {
 	s.opts = opts
 	s.mgr = newManager(opts)
 	s.mgr.jnl, s.mgr.ckpts, s.mgr.ckptEvery = jnl, store, opts.CheckpointEvery
+	s.api = NewAPI(APIConfig{
+		Service:             "ximdd",
+		Executor:            s.mgr,
+		Archive:             opts.Archive,
+		Metrics:             s.mgr.met.reg,
+		Tracer:              s.mgr.tr,
+		Spans:               s.mgr.spanStore,
+		TraceJobs:           true,
+		MaxSourceBytes:      opts.MaxSourceBytes,
+		RetryAfter:          opts.RetryAfter,
+		MaxSweepTasks:       opts.MaxSweepTasks,
+		MaxConcurrentSweeps: opts.MaxConcurrentSweeps,
+	})
+	s.mgr.api = s.api
 	if s.mgr.nextID < maxID {
 		// Never reissue an id a client may still be polling — even one
 		// whose job finished before the crash.
@@ -254,21 +267,13 @@ func New(opts Options) *Server {
 	s.recoverPending(pending)
 	s.mgr.start()
 
-	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
+	s.api.Register(s.mux)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/spans", s.handleSpans)
-	s.mux.HandleFunc("POST /v1/sweeps", s.handleSweep)
-	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweepStatus)
-	s.mux.HandleFunc("GET /v1/runs", s.handleRuns)
-	s.mux.HandleFunc("POST /v1/regress", s.handleRegress)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /livez", s.handleLivez)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("POST /v1/fabric/lease", s.handleLease)
-	s.mux.Handle("GET /v1/traces", obs.TraceListHandler(s.mgr.spanStore))
-	s.mux.Handle("GET /v1/traces/{id}", obs.TraceTreeHandler(s.mgr.spanStore))
-	s.mux.Handle("GET /metrics", s.mgr.met.reg.Handler())
 	s.mux.HandleFunc("GET /varz", s.handleVarz)
 	return s
 }
@@ -291,7 +296,7 @@ func (s *Server) recoverPending(pending []replayJob) {
 	for _, p := range pending {
 		live[p.id] = true
 		req := p.req
-		j, _, err := s.buildJob(&req)
+		pj, _, err := s.api.buildJob(&req)
 		if err != nil {
 			s.recovery.Dropped++
 			_, _ = s.mgr.jnl.append(journalRecord{T: journalTerminal, ID: p.id})
@@ -300,12 +305,10 @@ func (s *Server) recoverPending(pending []replayJob) {
 		}
 		// A recovered job starts a fresh trace: its pre-crash spans died
 		// with the old process, and the recovered attr records why.
-		j.span = s.mgr.tr.Root("job")
-		j.span.SetAttr("digest", j.progSHA)
-		j.span.SetAttr("arch", string(j.prog.Arch()))
+		j := s.mgr.newJob(pj, s.mgr.tr.Root("job"))
 		c, cerr := s.mgr.ckpts.Load(p.id)
 		switch {
-		case cerr == nil && c != nil && c.Key == j.ckptKey && c.Arch == string(j.prog.Arch()) && !j.trace:
+		case cerr == nil && c != nil && c.Key == j.ckptKey && c.Arch == string(j.Arch) && !j.Req.Trace:
 			j.ckpt = c
 			j.span.SetAttr("recovered", "resumed")
 			s.recovery.Resumed++
@@ -382,15 +385,25 @@ type SubmitResponse struct {
 	CacheHit      bool   `json:"cache_hit"`
 }
 
-// JobStatus is the body of GET /v1/jobs/{id}.
+// JobStatus is the body of GET /v1/jobs/{id} on both daemons.
 type JobStatus struct {
-	ID            string            `json:"id"`
-	Status        State             `json:"status"`
-	ProgramSHA256 string            `json:"program_sha256"`
-	CacheHit      bool              `json:"cache_hit"`
-	Error         string            `json:"error,omitempty"`
-	ExitCode      *int              `json:"exit_code,omitempty"`
-	Result        *runner.ResultDoc `json:"result,omitempty"`
+	ID            string `json:"id"`
+	Status        State  `json:"status"`
+	ProgramSHA256 string `json:"program_sha256"`
+	CacheHit      bool   `json:"cache_hit"`
+	// Worker and RemoteID locate a fleet job's current (or final)
+	// placement; Attempts counts submissions (requeues re-submit),
+	// Stolen whether a duplicate placement raced the original. TraceID
+	// names the fleet-wide trace under GET /v1/traces/{trace_id}. ximdc
+	// only.
+	Worker   string            `json:"worker,omitempty"`
+	RemoteID string            `json:"remote_id,omitempty"`
+	Attempts int               `json:"attempts,omitempty"`
+	Stolen   bool              `json:"stolen,omitempty"`
+	TraceID  string            `json:"trace_id,omitempty"`
+	Error    string            `json:"error,omitempty"`
+	ExitCode *int              `json:"exit_code,omitempty"`
+	Result   *runner.ResultDoc `json:"result,omitempty"`
 	// QueuedMS and RunMS are monotonic-clock measurements (queue wait
 	// and execution time), present once the job is terminal. They live
 	// beside — never inside — the result document, which must stay a
@@ -400,122 +413,6 @@ type JobStatus struct {
 	// Flight is the flight-recorder window (last flight=N cycles),
 	// present only for failed jobs that requested one.
 	Flight []TraceLine `json:"flight,omitempty"`
-}
-
-// errorBody is every non-2xx JSON body.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorBody{Error: err.Error()})
-}
-
-// retryAfterSeconds renders a Retry-After hint in whole seconds,
-// rounding up with a floor of 1: the header's unit is integral
-// seconds, so truncating a sub-second configuration would emit
-// "Retry-After: 0" and tell backed-off clients to hammer immediately.
-func retryAfterSeconds(d time.Duration) string {
-	secs := (int64(d) + int64(time.Second) - 1) / int64(time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.FormatInt(secs, 10)
-}
-
-// setRetryAfter stamps the shared Retry-After hint on a backpressure
-// response (429, 503, and pre-terminal 409s).
-func (s *Server) setRetryAfter(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", retryAfterSeconds(s.opts.RetryAfter))
-}
-
-// buildJob validates a JobRequest into a runnable job, resolving the
-// program through the decoded-program cache. Validation failures are
-// returned with the HTTP status they deserve: 400 for bad programs
-// (assembler line numbers preserved) and bad host configuration.
-func (s *Server) buildJob(req *JobRequest) (*job, int, error) {
-	arch, err := runner.ParseArch(req.Arch)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	var source []byte
-	switch {
-	case req.Source != "" && len(req.Image) > 0:
-		return nil, http.StatusBadRequest, errors.New("request sets both source and image")
-	case req.Source != "":
-		source = []byte(req.Source)
-	case len(req.Image) > 0:
-		source = req.Image
-	default:
-		return nil, http.StatusBadRequest, errors.New("request needs source (assembly text) or image (binary program)")
-	}
-	if int64(len(source)) > s.opts.MaxSourceBytes {
-		return nil, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("program is %d bytes, limit %d", len(source), s.opts.MaxSourceBytes)
-	}
-
-	if req.Flight < 0 {
-		return nil, http.StatusBadRequest, fmt.Errorf("flight must be >= 0, got %d", req.Flight)
-	}
-	flight := req.Flight
-	if flight > MaxFlightCycles {
-		flight = MaxFlightCycles
-	}
-
-	decodeStart := time.Now()
-	prog, key, hit, err := s.mgr.loadProgram(arch, source)
-	decodeDur := time.Since(decodeStart)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	s.mgr.met.observeDecode(decodeDur, hit)
-	spec := runner.Spec{
-		MaxCycles:         req.MaxCycles,
-		TolerateConflicts: req.TolerateConflicts,
-		Seed:              req.Seed,
-		Inject:            req.Inject,
-	}
-	if spec.RegPokes, err = hostcfg.ParseRegPokes(req.Pokes); err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	if spec.MemPokes, err = hostcfg.ParseMemPokes(req.Mem); err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	peeks, err := hostcfg.ParseMemPeeks(req.Peeks)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	// Canonicalizing validates the inject spec at submit — the client
-	// gets a 400 instead of a queued job that fails at run time — and
-	// fixes the archive key's inject axis, so reordered-but-equivalent
-	// specs share one baseline.
-	canonInject, err := inject.Canonicalize(req.Inject)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	reqCopy := *req
-	return &job{
-		prog:        prog,
-		progSHA:     key,
-		cacheHit:    hit,
-		spec:        spec,
-		peeks:       peeks,
-		trace:       req.Trace,
-		profile:     req.Profile,
-		flight:      flight,
-		decodeDur:   decodeDur,
-		canonInject: canonInject,
-		req:         &reqCopy,
-		ckptKey:     checkpointKey(&reqCopy),
-	}, 0, nil
 }
 
 // checkpointKey digests the canonical request JSON into the string
@@ -534,88 +431,6 @@ func checkpointKey(req *JobRequest) string {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxSourceBytes*2))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	// Adopt the caller's trace context (the coordinator's placement
-	// span) or start a fresh root; a malformed header is never a 400.
-	sc, _ := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
-	span := s.mgr.tr.Adopt(sc, "job")
-	j, status, err := s.buildJob(&req)
-	if err != nil {
-		span.SetAttr("error", err.Error())
-		span.Finish()
-		writeError(w, status, err)
-		return
-	}
-	j.span = span
-	span.SetAttr("digest", j.progSHA)
-	span.SetAttr("arch", string(j.prog.Arch()))
-	decode := span.Child("decode")
-	if j.cacheHit {
-		decode.SetAttr("cache", "hit")
-	} else {
-		decode.SetAttr("cache", "miss")
-	}
-	decode.FinishWith(j.decodeDur)
-	if err := s.mgr.submit(j); err != nil {
-		span.SetAttr("error", err.Error())
-		span.Finish()
-		switch {
-		case errors.Is(err, ErrQueueFull):
-			s.setRetryAfter(w)
-			writeError(w, http.StatusTooManyRequests, err)
-		case errors.Is(err, ErrShuttingDown):
-			s.setRetryAfter(w)
-			writeError(w, http.StatusServiceUnavailable, err)
-		default:
-			writeError(w, http.StatusInternalServerError, err)
-		}
-		return
-	}
-	w.Header().Set(obs.TraceHeader, obs.FormatTraceHeader(span.Context()))
-	writeJSON(w, http.StatusAccepted, SubmitResponse{
-		ID:            j.id,
-		Status:        StateQueued,
-		ProgramSHA256: j.progSHA,
-		CacheHit:      j.cacheHit,
-	})
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j, err := s.mgr.get(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	v := s.mgr.snapshot(j)
-	st := JobStatus{
-		ID:            j.id,
-		Status:        v.state,
-		ProgramSHA256: j.progSHA,
-		CacheHit:      j.cacheHit,
-		Result:        v.doc,
-		QueuedMS:      v.queuedMS,
-		RunMS:         v.runMS,
-	}
-	if v.state == StateDone || v.state == StateFailed {
-		code := runner.ExitCode(v.err)
-		st.ExitCode = &code
-	}
-	if v.err != nil {
-		st.Error = v.err.Error()
-	}
-	for i := range v.flight {
-		st.Flight = append(st.Flight, traceLine(&v.flight[i]))
-	}
-	writeJSON(w, http.StatusOK, st)
 }
 
 // TraceLine is one NDJSON record of GET /v1/jobs/{id}/trace.
@@ -639,13 +454,13 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	if !j.trace {
+	if !j.Req.Trace {
 		writeError(w, http.StatusNotFound, errors.New("job was submitted without trace=true"))
 		return
 	}
 	state, recs := s.mgr.traceRecords(j)
 	if state != StateDone && state != StateFailed {
-		s.setRetryAfter(w)
+		s.api.setRetryAfter(w)
 		writeError(w, http.StatusConflict, fmt.Errorf("job is %s; trace is available once it is terminal", state))
 		return
 	}
@@ -707,7 +522,7 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	}
 	state, spans := s.mgr.spanLines(j)
 	if state != StateDone && state != StateFailed {
-		s.setRetryAfter(w)
+		s.api.setRetryAfter(w)
 		writeError(w, http.StatusConflict, fmt.Errorf("job is %s; spans are available once it is terminal", state))
 		return
 	}
@@ -721,7 +536,7 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.mgr.shuttingDown() {
+	if s.mgr.ShuttingDown() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}

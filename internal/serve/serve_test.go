@@ -559,7 +559,7 @@ func TestSweepBackpressure429(t *testing.T) {
 	})
 	// Hold the single sweep slot so the probe below deterministically
 	// sees the capacity-exhausted path.
-	s.sweepSem <- struct{}{}
+	s.api.sweepSem <- struct{}{}
 	resp, body := postJSON(t, ts.URL+"/v1/sweeps", SweepRequest{Base: tprocJob()})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("sweep with slot held: %d: %s", resp.StatusCode, body)
@@ -567,7 +567,7 @@ func TestSweepBackpressure429(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra != "3" {
 		t.Fatalf("Retry-After = %q, want \"3\"", ra)
 	}
-	<-s.sweepSem
+	<-s.api.sweepSem
 	resp, body = postJSON(t, ts.URL+"/v1/sweeps", SweepRequest{Base: tprocJob()})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sweep with slot free: %d: %s", resp.StatusCode, body)

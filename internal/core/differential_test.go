@@ -38,6 +38,12 @@ func (c *captureTracer) Cycle(rec *CycleRecord) {
 
 const diffMemWords = 1024
 
+// diffBackedWords is how much of the differential memory the tests
+// initialize. The rest stays zero and outside the image's backed
+// prefix, so the generators' accesses near the end of memory cover
+// loads past the prefix, stores that grow it, and out-of-range faults.
+const diffBackedWords = diffMemWords / 2
+
 // randomXIMDProgram generates a short program with independent per-FU
 // control: forward branches (with occasional self-loop spin waits), the
 // full condition repertoire, sync signals, and deliberately hazardous
@@ -171,7 +177,7 @@ func errString(err error) string {
 func runEngine(t *testing.T, tag string, prog *isa.Program, cfg Config, engine EngineKind) (*Machine, *captureTracer, *mem.Shared, uint64, error) {
 	t.Helper()
 	memory := mem.NewShared(diffMemWords)
-	for i := uint32(0); i < diffMemWords; i++ {
+	for i := uint32(0); i < diffBackedWords; i++ {
 		memory.Poke(i, isa.WordFromInt(int32(i)*3-700))
 	}
 	tr := &captureTracer{}

@@ -54,7 +54,7 @@ func randomFusibleXIMDProgram(r *rand.Rand) *isa.Program {
 func runFusion(t *testing.T, tag string, prog *isa.Program, cfg Config, engine EngineKind, disableFusion bool) (*Machine, *mem.Shared, uint64, error) {
 	t.Helper()
 	memory := mem.NewShared(diffMemWords)
-	for i := uint32(0); i < diffMemWords; i++ {
+	for i := uint32(0); i < diffBackedWords; i++ {
 		memory.Poke(i, isa.WordFromInt(int32(i)*3-700))
 	}
 	cfg.Engine = engine

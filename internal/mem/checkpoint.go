@@ -28,7 +28,10 @@ type Checkpointable interface {
 	RestoreState(State) error
 }
 
+// sharedState holds a Shared memory's logical size and a copy of its
+// backed prefix; words past the prefix are zero.
 type sharedState struct {
+	size   uint32
 	words  []isa.Word
 	loads  uint64
 	stores uint64
@@ -41,6 +44,7 @@ func (m *Shared) SnapshotState() (State, error) {
 		return nil, fmt.Errorf("mem: cannot checkpoint shared memory with %d mapped devices", len(m.mappings))
 	}
 	return &sharedState{
+		size:   m.size,
 		words:  append([]isa.Word(nil), m.words...),
 		loads:  m.loads,
 		stores: m.stores,
@@ -56,26 +60,43 @@ func (m *Shared) RestoreState(s State) error {
 	if len(m.mappings) > 0 {
 		return fmt.Errorf("mem: cannot restore shared memory with %d mapped devices", len(m.mappings))
 	}
-	if len(st.words) != len(m.words) {
-		return fmt.Errorf("mem: checkpoint of %d words does not fit memory of %d", len(st.words), len(m.words))
+	if st.size != m.size {
+		return fmt.Errorf("mem: checkpoint of %d words does not fit memory of %d", st.size, m.size)
 	}
-	copy(m.words, st.words)
+	m.words = restorePrefix(m.words, st.words)
 	m.loads, m.stores = st.loads, st.stores
 	m.pending = m.pending[:0]
 	return nil
 }
 
+// restorePrefix makes dst hold exactly the words of src followed by
+// zeros, reusing dst when it is long enough, and returns it: the
+// restored backed prefix is whichever of the two is longer.
+func restorePrefix(dst, src []isa.Word) []isa.Word {
+	if len(dst) < len(src) {
+		return append([]isa.Word(nil), src...)
+	}
+	copy(dst, src)
+	clear(dst[len(src):])
+	return dst
+}
+
+// distributedState holds each bank's size and a prefix of its words
+// (the rest zero): a snapshot copies whole banks, a decoded checkpoint
+// only up to its last nonzero segment.
 type distributedState struct {
+	sizes []uint32
 	banks [][]isa.Word
 }
 
 // SnapshotState implements Checkpointable.
 func (m *Distributed) SnapshotState() (State, error) {
-	banks := make([][]isa.Word, len(m.banks))
+	st := &distributedState{sizes: make([]uint32, len(m.banks)), banks: make([][]isa.Word, len(m.banks))}
 	for i, b := range m.banks {
-		banks[i] = append([]isa.Word(nil), b...)
+		st.sizes[i] = uint32(len(b))
+		st.banks[i] = append([]isa.Word(nil), b...)
 	}
-	return &distributedState{banks: banks}, nil
+	return st, nil
 }
 
 // RestoreState implements Checkpointable.
@@ -87,13 +108,13 @@ func (m *Distributed) RestoreState(s State) error {
 	if len(st.banks) != len(m.banks) {
 		return fmt.Errorf("mem: checkpoint of %d banks does not fit %d banks", len(st.banks), len(m.banks))
 	}
-	for i, b := range st.banks {
-		if len(b) != len(m.banks[i]) {
-			return fmt.Errorf("mem: bank %d checkpoint of %d words does not fit bank of %d", i, len(b), len(m.banks[i]))
+	for i, size := range st.sizes {
+		if int(size) != len(m.banks[i]) {
+			return fmt.Errorf("mem: bank %d checkpoint of %d words does not fit bank of %d", i, size, len(m.banks[i]))
 		}
 	}
 	for i, b := range st.banks {
-		copy(m.banks[i], b)
+		restorePrefix(m.banks[i], b)
 	}
 	m.pending = m.pending[:0]
 	return nil

@@ -82,8 +82,17 @@ type pendingStore struct {
 }
 
 // Shared is the idealized shared memory of the research model.
+//
+// Its address space is [0, Size()), but only a prefix [0, len(words))
+// is backed by host memory: programs touch a few hundred words of a
+// million-word space, so a fresh image allocates nothing. Loads past
+// the prefix read zero without allocating; the first store or Poke past
+// it grows the prefix geometrically (capped at Size()). Every
+// observable result — loads, Peek, checkpoints — is that of a fully
+// backed, zero-initialized memory.
 type Shared struct {
-	words    []isa.Word
+	words    []isa.Word // backed prefix of the address space
+	size     uint32     // logical size in words
 	mappings []mapping
 	pending  []pendingStore
 	cycle    uint64
@@ -96,16 +105,54 @@ type Shared struct {
 const DefaultWords = 1 << 20
 
 // NewShared returns a shared memory of the given size in words; size 0
-// selects DefaultWords.
+// selects DefaultWords. No words are backed until the first store.
 func NewShared(size uint32) *Shared {
 	if size == 0 {
 		size = DefaultWords
 	}
-	return &Shared{words: make([]isa.Word, size)}
+	return &Shared{size: size}
 }
 
 // Size returns the memory size in words.
-func (m *Shared) Size() uint32 { return uint32(len(m.words)) }
+func (m *Shared) Size() uint32 { return m.size }
+
+// minExtent is the smallest backed prefix, in words: the first store
+// backs at least this much, so small programs grow the image once.
+const minExtent = 1 << 8
+
+// grow extends the backed prefix to cover addr (which must be below
+// Size()), at least doubling it so a run grows O(log Size()) times.
+func (m *Shared) grow(addr uint32) {
+	n := uint64(len(m.words)) * 2
+	if n < minExtent {
+		n = minExtent
+	}
+	if need := uint64(addr) + 1; n < need {
+		n = need
+	}
+	if n > uint64(m.size) {
+		n = uint64(m.size)
+	}
+	words := make([]isa.Word, n)
+	copy(words, m.words)
+	m.words = words
+}
+
+// word reads RAM at addr, which must be below Size().
+func (m *Shared) word(addr uint32) isa.Word {
+	if addr < uint32(len(m.words)) {
+		return m.words[addr]
+	}
+	return 0
+}
+
+// setWord writes RAM at addr, which must be below Size().
+func (m *Shared) setWord(addr uint32, v isa.Word) {
+	if addr >= uint32(len(m.words)) {
+		m.grow(addr)
+	}
+	m.words[addr] = v
+}
 
 // Map attaches a device to the address range [base, base+size). Mapped
 // ranges must not overlap each other and must lie inside the address
@@ -143,18 +190,18 @@ func (m *Shared) Load(fu int, addr uint32) (isa.Word, error) {
 	if mp := m.findMapping(addr); mp != nil {
 		return mp.dev.Load(m.cycle, addr-mp.base), nil
 	}
-	if addr >= m.Size() {
-		return 0, &OutOfRangeError{Addr: addr, Size: m.Size(), FU: fu}
+	if addr >= m.size {
+		return 0, &OutOfRangeError{Addr: addr, Size: m.size, FU: fu}
 	}
-	return m.words[addr], nil
+	return m.word(addr), nil
 }
 
 // Store implements Memory.
 func (m *Shared) Store(fu int, addr uint32, v isa.Word) error {
 	m.stores++
 	mp := m.findMapping(addr)
-	if mp == nil && addr >= m.Size() {
-		return &OutOfRangeError{Addr: addr, Size: m.Size(), FU: fu}
+	if mp == nil && addr >= m.size {
+		return &OutOfRangeError{Addr: addr, Size: m.size, FU: fu}
 	}
 	var conflict error
 	for _, p := range m.pending {
@@ -169,8 +216,8 @@ func (m *Shared) Store(fu int, addr uint32, v isa.Word) error {
 
 // LoadFast is the devirtualized load path for simulators that hold a
 // concrete *Shared: the common case — no device mappings, address in
-// range — is simple enough to inline into the caller's cycle loop.
-// Anything unusual falls back to the general Load.
+// the backed prefix — is simple enough to inline into the caller's
+// cycle loop. Anything unusual falls back to the general Load.
 func (m *Shared) LoadFast(fu int, addr uint32) (isa.Word, error) {
 	if len(m.mappings) == 0 && addr < uint32(len(m.words)) {
 		m.loads++
@@ -184,7 +231,7 @@ func (m *Shared) LoadFast(fu int, addr uint32) (isa.Word, error) {
 // must scan for same-cycle conflicts), device ranges, and out-of-range
 // addresses fall back to the general Store.
 func (m *Shared) StoreFast(fu int, addr uint32, v isa.Word) error {
-	if len(m.mappings) == 0 && len(m.pending) == 0 && addr < uint32(len(m.words)) {
+	if len(m.mappings) == 0 && len(m.pending) == 0 && addr < m.size {
 		m.stores++
 		m.pending = append(m.pending, pendingStore{addr: addr, val: v, fu: fu})
 		return nil
@@ -204,24 +251,24 @@ func (m *Shared) Commit() {
 		if p.dev != nil {
 			p.dev.dev.Store(m.cycle, p.addr-p.dev.base, p.val)
 		} else {
-			m.words[p.addr] = p.val
+			m.setWord(p.addr, p.val)
 		}
 	}
 }
 
 // Peek reads RAM directly, bypassing devices and accounting.
 func (m *Shared) Peek(addr uint32) isa.Word {
-	if addr >= m.Size() {
+	if addr >= m.size {
 		return 0
 	}
-	return m.words[addr]
+	return m.word(addr)
 }
 
 // Poke writes RAM directly, bypassing devices and accounting; for host
 // initialization of workload data.
 func (m *Shared) Poke(addr uint32, v isa.Word) {
-	if addr < m.Size() {
-		m.words[addr] = v
+	if addr < m.size {
+		m.setWord(addr, v)
 	}
 }
 
@@ -250,10 +297,13 @@ func (m *Shared) Counters() (loads, stores uint64) { return m.loads, m.stores }
 // entering a fused run.
 func (m *Shared) HasMappings() bool { return len(m.mappings) > 0 }
 
-// Raw exposes the RAM words directly, bypassing devices, staging, and
-// accounting. It exists for the fused execution engines, which buffer
-// stores themselves and account loads/stores in bulk via AddCounters;
-// any other caller should use Load/Store or Peek/Poke. The caller must
+// Raw exposes the backed prefix of RAM directly, bypassing devices,
+// staging, and accounting: words at or past len(Raw()) but below
+// Size() read as zero, and storing to them needs the per-cycle path,
+// which grows the prefix (after which Raw must be fetched again). It
+// exists for the fused execution engines, which buffer stores
+// themselves and account loads/stores in bulk via AddCounters; any
+// other caller should use Load/Store or Peek/Poke. The caller must
 // have checked HasMappings() == false.
 func (m *Shared) Raw() []isa.Word { return m.words }
 

@@ -29,9 +29,11 @@ const (
 // segment header.
 const segGap = 8
 
-// encodeWords appends the sparse segment encoding of words.
-func encodeWords(w *wire.Writer, words []isa.Word) {
-	w.U32(uint32(len(words)))
+// encodeWords appends the sparse segment encoding of an array of size
+// words whose backed prefix is words (the rest zero). The bytes depend
+// only on the array's contents, not on how much of it is backed.
+func encodeWords(w *wire.Writer, size uint32, words []isa.Word) {
+	w.U32(size)
 	// First pass: count segments (the count prefixes the list).
 	var nseg uint32
 	forEachSegment(words, func(start, end int) { nseg++ })
@@ -66,39 +68,44 @@ func forEachSegment(words []isa.Word, fn func(start, end int)) {
 	}
 }
 
-// decodeWords reads a sparse segment encoding into a fresh zeroed
-// slice of the declared size. Segment bounds are validated against the
-// declared size, and the size itself against maxWords, so corrupt
-// bytes fail instead of allocating or writing out of range.
-func decodeWords(r *wire.Reader, maxWords uint32) ([]isa.Word, error) {
+// decodeWords reads a sparse segment encoding: the declared size, and
+// the words up to the last segment's end (the rest are zero). Segment
+// bounds are validated against the declared size, the size itself
+// against maxWords, and each segment's length against the bytes left,
+// so corrupt bytes fail instead of writing out of range, and a header
+// declaring a huge size allocates nothing.
+func decodeWords(r *wire.Reader, maxWords uint32) (uint32, []isa.Word, error) {
 	size := r.U32()
 	if size > maxWords {
-		return nil, fmt.Errorf("mem: decoded size %d exceeds limit %d", size, maxWords)
+		return 0, nil, fmt.Errorf("mem: decoded size %d exceeds limit %d", size, maxWords)
 	}
 	nseg := r.U32()
 	if err := r.Err(); err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	words := make([]isa.Word, size)
-	prevEnd := uint32(0)
+	var words []isa.Word
 	for s := uint32(0); s < nseg; s++ {
 		start := r.U32()
 		n := r.U32()
 		if err := r.Err(); err != nil {
-			return nil, err
+			return 0, nil, err
 		}
-		if start < prevEnd || n == 0 || uint64(start)+uint64(n) > uint64(size) {
-			return nil, fmt.Errorf("mem: segment [%d,+%d) out of order or out of range %d", start, n, size)
+		if start < uint32(len(words)) || n == 0 || uint64(start)+uint64(n) > uint64(size) {
+			return 0, nil, fmt.Errorf("mem: segment [%d,+%d) out of order or out of range %d", start, n, size)
 		}
-		for i := uint32(0); i < n; i++ {
-			words[start+i] = isa.Word(r.U32())
+		if uint64(n)*4 > uint64(r.Remaining()) {
+			return 0, nil, fmt.Errorf("mem: segment [%d,+%d) runs past the end of the checkpoint", start, n)
 		}
-		prevEnd = start + n
+		end := start + n
+		words = append(words, make([]isa.Word, end-uint32(len(words)))...)
+		for i := start; i < end; i++ {
+			words[i] = isa.Word(r.U32())
+		}
 	}
 	if err := r.Err(); err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	return words, nil
+	return size, words, nil
 }
 
 // maxCheckpointWords bounds a decoded memory geometry (words per array
@@ -115,13 +122,13 @@ func EncodeState(w *wire.Writer, s State) error {
 		w.U8(stateTagShared)
 		w.U64(st.loads)
 		w.U64(st.stores)
-		encodeWords(w, st.words)
+		encodeWords(w, st.size, st.words)
 		return nil
 	case *distributedState:
 		w.U8(stateTagDistributed)
 		w.U32(uint32(len(st.banks)))
-		for _, b := range st.banks {
-			encodeWords(w, b)
+		for i, b := range st.banks {
+			encodeWords(w, st.sizes[i], b)
 		}
 		return nil
 	default:
@@ -136,11 +143,11 @@ func DecodeState(r *wire.Reader) (State, error) {
 	switch tag := r.U8(); tag {
 	case stateTagShared:
 		st := &sharedState{loads: r.U64(), stores: r.U64()}
-		words, err := decodeWords(r, maxCheckpointWords)
+		size, words, err := decodeWords(r, maxCheckpointWords)
 		if err != nil {
 			return nil, err
 		}
-		st.words = words
+		st.size, st.words = size, words
 		return st, r.Err()
 	case stateTagDistributed:
 		n := r.U32()
@@ -150,13 +157,13 @@ func DecodeState(r *wire.Reader) (State, error) {
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		st := &distributedState{banks: make([][]isa.Word, n)}
+		st := &distributedState{sizes: make([]uint32, n), banks: make([][]isa.Word, n)}
 		for i := range st.banks {
-			b, err := decodeWords(r, maxCheckpointWords)
+			size, b, err := decodeWords(r, maxCheckpointWords)
 			if err != nil {
 				return nil, err
 			}
-			st.banks[i] = b
+			st.sizes[i], st.banks[i] = size, b
 		}
 		return st, r.Err()
 	default:

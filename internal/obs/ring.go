@@ -33,6 +33,17 @@ func (r *Ring[T]) Append(v T) {
 	}
 }
 
+// nextSlot returns the buffer slot the next Append writes and, when the
+// ring is full, the value that Append will evict from it (nil
+// otherwise). Indexes kept beside a ring (SpanStore's per-trace slot
+// lists) use it to follow evictions.
+func (r *Ring[T]) nextSlot() (slot int, evicted *T) {
+	if r.n == len(r.buf) {
+		return r.next, &r.buf[r.next]
+	}
+	return r.next, nil
+}
+
 // Len returns the number of retained values.
 func (r *Ring[T]) Len() int { return r.n }
 

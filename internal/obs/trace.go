@@ -282,9 +282,16 @@ func clampMS(d time.Duration) float64 {
 // around the flight recorder's Ring (the Ring itself is single-writer
 // by contract), evicting oldest-first once full. It holds frozen Span
 // values only — local Finish copies and cross-process imports.
+//
+// byTrace indexes the ring by trace id: each trace's ring slots, oldest
+// first. The ring evicts its globally oldest span, which is therefore
+// also the oldest of its own trace — always the head of that trace's
+// slot list — so eviction pops one head and Trace copies only the
+// trace's own spans instead of the whole ring.
 type SpanStore struct {
-	mu   sync.Mutex
-	ring *Ring[Span]
+	mu      sync.Mutex
+	ring    *Ring[Span]
+	byTrace map[string][]int32
 }
 
 // DefaultSpanStoreSize is the default retention: plenty for thousands
@@ -297,7 +304,7 @@ func NewSpanStore(capacity int) *SpanStore {
 	if capacity <= 0 {
 		capacity = DefaultSpanStoreSize
 	}
-	return &SpanStore{ring: NewRing[Span](capacity)}
+	return &SpanStore{ring: NewRing[Span](capacity), byTrace: make(map[string][]int32)}
 }
 
 // Add appends one finished span, evicting the oldest when full. Used
@@ -305,7 +312,16 @@ func NewSpanStore(capacity int) *SpanStore {
 // spans).
 func (st *SpanStore) Add(sp Span) {
 	st.mu.Lock()
+	slot, evicted := st.ring.nextSlot()
+	if evicted != nil {
+		if slots := st.byTrace[evicted.TraceID]; len(slots) > 1 {
+			st.byTrace[evicted.TraceID] = slots[1:]
+		} else {
+			delete(st.byTrace, evicted.TraceID)
+		}
+	}
 	st.ring.Append(sp)
+	st.byTrace[sp.TraceID] = append(st.byTrace[sp.TraceID], int32(slot))
 	st.mu.Unlock()
 }
 
@@ -323,14 +339,18 @@ func (st *SpanStore) Snapshot() []Span {
 	return st.ring.Snapshot()
 }
 
-// Trace returns every retained span of one trace, oldest first.
+// Trace returns every retained span of one trace, oldest first. Its
+// cost follows the trace's own span count, not the store's.
 func (st *SpanStore) Trace(traceID string) []Span {
-	all := st.Snapshot()
-	var out []Span
-	for _, sp := range all {
-		if sp.TraceID == traceID {
-			out = append(out, sp)
-		}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	slots := st.byTrace[traceID]
+	if len(slots) == 0 {
+		return nil
+	}
+	out := make([]Span, len(slots))
+	for i, slot := range slots {
+		out[i] = st.ring.buf[slot]
 	}
 	return out
 }

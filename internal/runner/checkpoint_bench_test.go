@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"ximd/internal/ckpt"
+	"ximd/internal/core"
+	"ximd/internal/mem"
 )
 
 // benchLoopSrc is a ~30M-cycle countdown: long enough that the default
@@ -59,3 +61,32 @@ func BenchmarkRunCheckpointDefault(b *testing.B) {
 	benchCheckpointOverhead(b, 1<<23) // serve.DefaultCheckpointEvery
 }
 func BenchmarkRunCheckpointDense(b *testing.B) { benchCheckpointOverhead(b, 1<<20) }
+
+// BenchmarkCheckpointSave is the per-save cost on its own: snapshot and
+// wire-encode a benchLoopSrc machine mid-run (the save path minus the
+// disk). The snapshot copies the memory's backed prefix, so the cost
+// follows what the run has touched, not the 4 MB address space.
+func BenchmarkCheckpointSave(b *testing.B) {
+	prog, err := Load(ArchXIMD, []byte(benchLoopSrc))
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := core.New(nil, core.Config{Decoded: prog.ximd, Memory: mem.NewShared(0), MaxCycles: 1 << 40})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := m.StepN(1 << 16); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := m.Snapshot()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := (&ckpt.Checkpoint{Arch: string(ArchXIMD), Cycle: m.Cycle(), Ximd: s}).Encode(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

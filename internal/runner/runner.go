@@ -266,28 +266,35 @@ func Run(ctx context.Context, prog *Program, spec Spec, opts Options) (Result, e
 // only post-resume cycles.
 func Resume(ctx context.Context, prog *Program, spec Spec, opts Options, from *ckpt.Checkpoint) (Result, error) {
 	if from == nil {
-		return Result{Arch: prog.arch, Memory: mem.NewShared(0)}, &UsageError{Err: fmt.Errorf("resume without a checkpoint")}
+		return newResult(prog), &UsageError{Err: fmt.Errorf("resume without a checkpoint")}
 	}
 	if from.Arch != string(prog.arch) {
-		return Result{Arch: prog.arch, Memory: mem.NewShared(0)}, &UsageError{Err: fmt.Errorf("checkpoint is for arch %q, program is %q", from.Arch, prog.arch)}
+		return newResult(prog), &UsageError{Err: fmt.Errorf("checkpoint is for arch %q, program is %q", from.Arch, prog.arch)}
 	}
 	return execute(ctx, prog, spec, opts, from)
+}
+
+// newResult is a run's result before its machine steps: no cycles and
+// a fresh memory image, which backs no words until the run stores. A
+// run refused before its machine was built returns it as is, so
+// callers may peek any result.
+func newResult(prog *Program) Result {
+	return Result{Arch: prog.arch, Memory: mem.NewShared(0)}
 }
 
 // execute is the shared body of Run and Resume: build the machine,
 // optionally restore a checkpoint into it, and drive it to a terminal
 // state with periodic context checks and checkpoint snapshots.
 func execute(ctx context.Context, prog *Program, spec Spec, opts Options, from *ckpt.Checkpoint) (Result, error) {
-	res := Result{Arch: prog.arch, Memory: mem.NewShared(0)}
 	if opts.Trace && (opts.CheckpointEvery > 0 || from != nil) {
-		return res, &UsageError{Err: fmt.Errorf("tracing is incompatible with checkpoint/resume: pre-checkpoint trace records cannot be reconstructed")}
+		return newResult(prog), &UsageError{Err: fmt.Errorf("tracing is incompatible with checkpoint/resume: pre-checkpoint trace records cannot be reconstructed")}
 	}
 	if opts.CheckpointEvery > 0 && opts.Checkpoint == nil {
-		return res, &UsageError{Err: fmt.Errorf("CheckpointEvery set without a Checkpoint sink")}
+		return newResult(prog), &UsageError{Err: fmt.Errorf("CheckpointEvery set without a Checkpoint sink")}
 	}
 	injector, err := specInjector(spec)
 	if err != nil {
-		return res, err
+		return newResult(prog), err
 	}
 	if from != nil && injector != nil {
 		// Restore the retry salt: transient fault draws are keyed on
@@ -300,6 +307,7 @@ func execute(ctx context.Context, prog *Program, spec Spec, opts Options, from *
 	// SetAttr / Finish below is a no-op on a nil receiver.
 	buildSpan := opts.Span.Child("build")
 	buildSpan.SetAttr("arch", string(prog.arch))
+	res := newResult(prog)
 
 	var rec *trace.Recorder
 	var vrec *vliwRecorder
@@ -485,15 +493,12 @@ func specInjector(spec Spec) (*inject.Injector, error) {
 func RunBatch(ctx context.Context, prog *Program, specs []Spec) ([]Result, []error) {
 	results := make([]Result, len(specs))
 	errs := make([]error, len(specs))
-	for i := range results {
-		results[i].Arch = prog.arch
-		results[i].Memory = mem.NewShared(0)
-	}
 
-	// Build phase: one machine per viable spec.
+	// Build phase: one machine (and memory image) per viable spec.
 	xms := make([]*core.Machine, len(specs))
 	vms := make([]*vliw.Machine, len(specs))
 	for i, spec := range specs {
+		results[i] = newResult(prog)
 		injector, err := specInjector(spec)
 		if err != nil {
 			errs[i] = err

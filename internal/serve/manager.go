@@ -61,9 +61,12 @@ type job struct {
 	submitted time.Time
 	started   time.Time
 	state     State
-	result    runner.Result
 	err       error
 	doc       *runner.ResultDoc
+	// archDoc is the archived document: doc with the stall-attribution
+	// profile always attached. A finished job keeps only its documents,
+	// never the run's memory image.
+	archDoc   *runner.ResultDoc
 	recs      []trace.Record
 	flightRec []trace.Record
 	spans     []SpanLine
@@ -455,11 +458,15 @@ func (m *manager) worker() {
 			ropts.CheckpointEvery = m.ckptEvery
 			ropts.Checkpoint = func(c *ckpt.Checkpoint) { m.saveCheckpoint(j, c) }
 		}
+		// The job hands its recovered checkpoint (a memory image) to
+		// this run and keeps no reference to it.
+		from := j.ckpt
+		j.ckpt = nil
 		var res runner.Result
 		task := sweep.Task{Name: j.id, Run: func(ctx context.Context) (sweep.Outcome, error) {
 			var err error
-			if j.ckpt != nil {
-				res, err = runner.Resume(ctx, j.prog, j.spec, ropts, j.ckpt)
+			if from != nil {
+				res, err = runner.Resume(ctx, j.prog, j.spec, ropts, from)
 				var ue *runner.UsageError
 				if errors.As(err, &ue) {
 					// The checkpoint did not fit the rebuilt machine
@@ -529,8 +536,9 @@ func ms(d time.Duration) float64 {
 	return float64(d) / float64(time.Millisecond)
 }
 
-// finish freezes a job's result document and span breakdown (built
-// once, so repeated GETs serve identical bytes), archives the outcome,
+// finish freezes a job's result documents — the client's and the
+// archive's — and span breakdown (built once, so repeated GETs serve
+// identical bytes), drops the run's memory image, archives the outcome,
 // and only then publishes the terminal state. The ordering is the
 // point: a client that observes done/failed may rely on the durable
 // archive (and its /metrics counters) already containing the run — the
@@ -539,7 +547,6 @@ func ms(d time.Duration) float64 {
 // meantime because snapshot/traceRecords/spanLines gate on the state.
 func (m *manager) finish(j *job, res runner.Result, err error, execDur time.Duration) {
 	m.mu.Lock()
-	j.result = res
 	j.err = err
 	j.recs = res.Trace
 	j.flightRec = res.Flight
@@ -561,6 +568,13 @@ func (m *manager) finish(j *job, res runner.Result, err error, execDur time.Dura
 	if err == nil {
 		doc := runner.NewResultDoc(res, j.peeks, j.Req.Profile)
 		j.doc = &doc
+		if m.arch != nil {
+			// Archive the full document with the stall-attribution
+			// profile attached even when the client did not ask for one:
+			// the baseline should carry everything the gate can compare.
+			adoc := runner.NewResultDoc(res, j.peeks, true)
+			j.archDoc = &adoc
+		}
 	}
 	m.mu.Unlock()
 
@@ -635,13 +649,7 @@ func (m *manager) archiveJob(j *job) {
 	if j.err != nil {
 		rec.Error = j.err.Error()
 	}
-	if j.doc != nil {
-		// Archive the full document with the stall-attribution profile
-		// attached even when the client did not ask for one: the
-		// baseline should carry everything the gate can compare.
-		doc := runner.NewResultDoc(j.result, j.peeks, true)
-		rec.Result = &doc
-	}
+	rec.Result = j.archDoc
 	for _, sp := range j.spans {
 		rec.Spans = append(rec.Spans, archive.Span{Name: sp.Span, Ms: sp.Ms, Detail: sp.Detail})
 	}

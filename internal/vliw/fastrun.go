@@ -14,7 +14,8 @@ import "ximd/internal/isa"
 // discards the faulting word's local buffers, commits the completed
 // prefix, and replays the word through the per-cycle stepFast — which
 // reproduces the partial statistics and exact error text of an unfused
-// run, byte for byte.
+// run, byte for byte. A store past the memory's backed prefix takes the
+// same replay, which grows the prefix; a load there reads zero inline.
 //
 // Runtime preconditions (checked at New into fuseOK, plus per StepN
 // call): fast engine, fusion not disabled, no fault injection, no
@@ -67,8 +68,10 @@ func (m *Machine) StepN(n uint64) (running bool, err error) {
 func (m *Machine) fusedRun(entry isa.Addr, maxWords uint64) (uint64, error) {
 	fi := m.fuse
 	regs := m.regs.Raw()
+	// words is the memory's backed prefix: loads past it but below
+	// Size() read zero inline; a store past it bails to the per-cycle
+	// replay, which grows the prefix.
 	words := m.shared.Raw()
-	memSize := uint32(len(words))
 	tolerate := m.config.TolerateConflicts
 
 	k := uint64(fi.runLen[entry])
@@ -110,15 +113,18 @@ func (m *Machine) fusedRun(entry isa.Addr, maxWords uint64) (uint64, error) {
 			switch op.Op {
 			case isa.OpLoad:
 				laddr := uint32(a.Int() + b.Int())
-				if laddr >= memSize {
+				var v isa.Word
+				if laddr < uint32(len(words)) {
+					v = words[laddr]
+				} else if laddr >= m.shared.Size() {
 					return m.fuseBail(entry, i, ccBits, entryCycle)
 				}
 				wReg[nw] = op.Dest
-				wVal[nw] = words[laddr]
+				wVal[nw] = v
 				nw++
 			case isa.OpStore:
 				saddr := uint32(b.Int())
-				if saddr >= memSize {
+				if saddr >= uint32(len(words)) {
 					return m.fuseBail(entry, i, ccBits, entryCycle)
 				}
 				for si := 0; si < ns; si++ {
@@ -214,12 +220,14 @@ func (m *Machine) fuseExit(entry isa.Addr, j uint64, ccBits uint8, entryCycle ui
 	m.cycle = entryCycle + j
 }
 
-// fuseBail handles an op fault inside word entry+i of a fused run: the
-// completed prefix [entry, entry+i) commits its bulk bookkeeping, the
-// machine rewinds to the start of the faulting word (its buffered
-// effects are simply dropped), and the word replays through the
-// per-cycle stepFast, which reproduces the partial statistics and the
-// exact error of an unfused run.
+// fuseBail handles an op fault inside word entry+i of a fused run, or a
+// store past the memory's backed prefix (no fault, but only the
+// per-cycle path grows the prefix): the completed prefix [entry,
+// entry+i) commits its bulk bookkeeping, the machine rewinds to the
+// start of the bailing word (its buffered effects are simply dropped),
+// and the word replays through the per-cycle stepFast, which
+// reproduces the partial statistics and the exact error of an unfused
+// run.
 func (m *Machine) fuseBail(entry isa.Addr, i uint64, ccBits uint8, entryCycle uint64) (uint64, error) {
 	if i > 0 {
 		m.fuseExit(entry, i, ccBits, entryCycle)
@@ -227,9 +235,10 @@ func (m *Machine) fuseBail(entry isa.Addr, i uint64, ccBits uint8, entryCycle ui
 	_, err := m.stepFast()
 	executed := i
 	if err == nil {
-		// The replay disagreeing with the fused fault detection would be
-		// an engine bug; counting the replayed cycle keeps StepN's
-		// bookkeeping honest either way.
+		// A growing store replays cleanly; for a fault, the replay
+		// disagreeing with the fused detection would be an engine bug.
+		// Counting the replayed cycle keeps StepN's bookkeeping honest
+		// either way.
 		executed++
 	}
 	return executed, err

@@ -20,7 +20,7 @@ func TestBenchmarksRunOnce(t *testing.T) {
 	if err != nil {
 		t.Fatalf("benchmark suite failed: %v\n%s", err, out)
 	}
-	for _, needle := range []string{"BenchmarkSimulatorThroughput", "BenchmarkSimulatorThroughputReference", "ok"} {
+	for _, needle := range []string{"BenchmarkSimulatorThroughput", "BenchmarkSimulatorThroughputReference", "BenchmarkSimulatorThroughputVLIW", "ok"} {
 		if !strings.Contains(string(out), needle) {
 			t.Fatalf("benchmark output missing %q:\n%s", needle, out)
 		}

@@ -262,6 +262,19 @@ func BenchmarkSweepSuiteParallel(b *testing.B) { benchSweepSuite(b, runtime.GOMA
 // Raw simulator throughput: host nanoseconds per simulated machine cycle
 // on an 8-FU machine running a long arithmetic loop.
 func benchSimulatorThroughput(b *testing.B, engine ximd.EngineKind) {
+	c := compileThroughputLoop(b)
+	benchThroughputRuns(b, func() (uint64, error) {
+		m, err := ximd.NewMachine(c.Prog, ximd.Config{Engine: engine})
+		if err != nil {
+			return 0, err
+		}
+		return m.Run()
+	})
+}
+
+// compileThroughputLoop compiles the throughput benchmarks' long
+// arithmetic loop for an 8-FU machine.
+func compileThroughputLoop(b *testing.B) *ximd.Compiled {
 	src := `
 var out[1];
 func main() {
@@ -273,14 +286,16 @@ func main() {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return c
+}
+
+// benchThroughputRuns times b.N fresh runs and reports host-ns per
+// simulated machine cycle.
+func benchThroughputRuns(b *testing.B, run func() (uint64, error)) {
 	var total uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := ximd.NewMachine(c.Prog, ximd.Config{Engine: engine})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles, err := m.Run()
+		cycles, err := run()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -298,4 +313,21 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 
 func BenchmarkSimulatorThroughputReference(b *testing.B) {
 	benchSimulatorThroughput(b, ximd.EngineReference)
+}
+
+// BenchmarkSimulatorThroughputVLIW runs the same loop on the VLIW
+// baseline (the compiler's output is VLIW-style, so it converts).
+func BenchmarkSimulatorThroughputVLIW(b *testing.B) {
+	c := compileThroughputLoop(b)
+	vp, err := c.VLIW()
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchThroughputRuns(b, func() (uint64, error) {
+		m, err := ximd.NewVLIWMachine(vp, ximd.VLIWConfig{})
+		if err != nil {
+			return 0, err
+		}
+		return m.Run()
+	})
 }

@@ -104,6 +104,14 @@ var baselineCases = []baselineCase{
 	{name: "mem/drop", arch: runner.ArchXIMD, src: baselineMemSrc, seed: 4, inject: "drop=0.3", mem: memInit, peeks: memPeeks},
 	{name: "mem/flip", arch: runner.ArchXIMD, src: baselineMemSrc, seed: 5, inject: "flip=0.2", mem: memInit, peeks: memPeeks},
 	{name: "mem/fufail", arch: runner.ArchXIMD, src: baselineMemSrc, seed: 6, inject: "fufail=1@3", mem: memInit, peeks: memPeeks},
+	// The VLIW fault paths: a whole-word stall under latency, transient
+	// faults that end the run, and a hard failure that is terminal the
+	// cycle it lands.
+	{name: "mem/vliw-ideal", arch: runner.ArchVLIW, src: baselineMemSrc, mem: memInit, peeks: memPeeks},
+	{name: "mem/vliw-lat-fixed", arch: runner.ArchVLIW, src: baselineMemSrc, seed: 1, inject: "lat=fixed:4", mem: memInit, peeks: memPeeks},
+	{name: "mem/vliw-nak", arch: runner.ArchVLIW, src: baselineMemSrc, seed: 11, inject: "nak=0.3", mem: memInit, peeks: memPeeks},
+	{name: "mem/vliw-drop", arch: runner.ArchVLIW, src: baselineMemSrc, seed: 4, inject: "drop=0.3", mem: memInit, peeks: memPeeks},
+	{name: "mem/vliw-fufail", arch: runner.ArchVLIW, src: baselineMemSrc, seed: 6, inject: "fufail=1@3", mem: memInit, peeks: memPeeks},
 }
 
 // runBaselineCase executes one case and renders it as an archive

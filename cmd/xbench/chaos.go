@@ -70,20 +70,37 @@ func chaosEnv(data [workloads.ChaosLanes][]int32) *mem.Shared {
 	return env.Mem.(*mem.Shared)
 }
 
-// chaosXIMD runs the XIMD variant under an injector and verifies every
-// stream; maxCycles 0 selects the default.
-func chaosXIMD(inst *workloads.Instance, data [workloads.ChaosLanes][]int32, inj *inject.Injector) (uint64, *mem.Shared, error) {
-	memory := chaosEnv(data)
-	m, err := core.New(inst.XIMD, core.Config{Memory: memory, Inject: inj})
+// chaosMachine builds the instance's XIMD or (vliwArch) VLIW machine
+// over memory under an injector, with the instance's registers poked.
+func chaosMachine(inst *workloads.Instance, vliwArch bool, memory *mem.Shared, inj *inject.Injector) (*core.Machine, error) {
+	cfg := core.Config{Memory: memory, Inject: inj}
+	var m *core.Machine
+	var err error
+	if vliwArch {
+		m, err = vliw.New(inst.VLIW, cfg)
+	} else {
+		m, err = core.New(inst.XIMD, cfg)
+	}
 	if err != nil {
-		return 0, memory, err
+		return nil, err
 	}
 	for r, v := range inst.Regs {
 		m.Regs().Poke(r, v)
 	}
+	return m, nil
+}
+
+// chaosRun runs the XIMD or (vliwArch) VLIW variant under an injector
+// and verifies every stream.
+func chaosRun(inst *workloads.Instance, vliwArch bool, data [workloads.ChaosLanes][]int32, inj *inject.Injector) (uint64, *mem.Shared, error) {
+	memory := chaosEnv(data)
+	m, err := chaosMachine(inst, vliwArch, memory, inj)
+	if err != nil {
+		return 0, memory, err
+	}
 	cycles, err := m.Run()
 	if err != nil {
-		return m.Cycle(), memory, err
+		return cycles, memory, err
 	}
 	for f := 0; f < workloads.ChaosLanes; f++ {
 		if err := workloads.ChaosCheckLane(memory, data, f); err != nil {
@@ -91,42 +108,13 @@ func chaosXIMD(inst *workloads.Instance, data [workloads.ChaosLanes][]int32, inj
 		}
 	}
 	return cycles, memory, nil
-}
-
-// chaosVLIW is chaosXIMD for the lockstep baseline.
-func chaosVLIW(inst *workloads.Instance, data [workloads.ChaosLanes][]int32, inj *inject.Injector) (uint64, *mem.Shared, error) {
-	memory := chaosEnv(data)
-	m, err := vliw.New(inst.VLIW, vliw.Config{Memory: memory, Inject: inj})
-	if err != nil {
-		return 0, memory, err
-	}
-	for r, v := range inst.Regs {
-		m.Regs().Poke(r, v)
-	}
-	cycles, err := m.Run()
-	if err != nil {
-		return m.Cycle(), memory, err
-	}
-	for f := 0; f < workloads.ChaosLanes; f++ {
-		if err := workloads.ChaosCheckLane(memory, data, f); err != nil {
-			return cycles, memory, err
-		}
-	}
-	return cycles, memory, nil
-}
-
-// stepper abstracts the two machines for the checkpoint-retry driver.
-type stepper interface {
-	Step() (bool, error)
-	Cycle() uint64
 }
 
 // chaosRetry drives a machine with periodic checkpoints: a transient
 // fault restores the last checkpoint and bumps the injector attempt for
 // a fresh draw. Returns final cycles and the attempt count.
-func chaosRetry(m stepper, snapshot func() (restore func() error, err error),
-	inj *inject.Injector, every uint64, maxAttempts int) (uint64, int, error) {
-	restore, err := snapshot()
+func chaosRetry(m *core.Machine, inj *inject.Injector, every uint64, maxAttempts int) (uint64, int, error) {
+	snap, err := m.Snapshot()
 	if err != nil {
 		return 0, 1, err
 	}
@@ -137,7 +125,7 @@ func chaosRetry(m stepper, snapshot func() (restore func() error, err error),
 			if !errors.Is(err, core.ErrTransient) || attempts >= maxAttempts {
 				return m.Cycle(), attempts, err
 			}
-			if rerr := restore(); rerr != nil {
+			if rerr := m.Restore(snap); rerr != nil {
 				return m.Cycle(), attempts, rerr
 			}
 			inj.NextAttempt()
@@ -148,7 +136,7 @@ func chaosRetry(m stepper, snapshot func() (restore func() error, err error),
 			return m.Cycle(), attempts, nil
 		}
 		if m.Cycle()%every == 0 {
-			if restore, err = snapshot(); err != nil {
+			if snap, err = m.Snapshot(); err != nil {
 				return m.Cycle(), attempts, err
 			}
 		}
@@ -172,11 +160,11 @@ func expChaos() error {
 				Latency: inject.LatencyModel{Kind: inject.LatencyUniform, Min: 0, Max: spread},
 			})
 		}
-		xc, _, err := chaosXIMD(inst, data, inj)
+		xc, _, err := chaosRun(inst, false, data, inj)
 		if err != nil {
 			return fmt.Errorf("latency L=%d XIMD: %w", spread, err)
 		}
-		vc, _, err := chaosVLIW(inst, data, inj)
+		vc, _, err := chaosRun(inst, true, data, inj)
 		if err != nil {
 			return fmt.Errorf("latency L=%d VLIW: %w", spread, err)
 		}
@@ -204,46 +192,26 @@ func expChaos() error {
 		for i := 0; i < runs; i++ {
 			icfg := inject.Config{Seed: chaosSeed + int64(i), Transient: inject.Transient{MemNAK: p}}
 
-			xinj := inject.MustNew(icfg)
-			memory := chaosEnv(data)
-			xm, err := core.New(inst.XIMD, core.Config{Memory: memory, Inject: xinj})
-			if err != nil {
-				return err
-			}
-			for r, v := range inst.Regs {
-				xm.Regs().Poke(r, v)
-			}
-			_, att, err := chaosRetry(xm, func() (func() error, error) {
-				s, err := xm.Snapshot()
+			for _, vliwArch := range []bool{false, true} {
+				inj := inject.MustNew(icfg)
+				memory := chaosEnv(data)
+				m, err := chaosMachine(inst, vliwArch, memory, inj)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				return func() error { return xm.Restore(s) }, nil
-			}, xinj, every, maxAttempts)
-			xAtt += att
-			if err == nil && chaosVerify(memory, data) {
-				row.XIMDOK++
-			}
-
-			vinj := inject.MustNew(icfg)
-			memory = chaosEnv(data)
-			vm, err := vliw.New(inst.VLIW, vliw.Config{Memory: memory, Inject: vinj})
-			if err != nil {
-				return err
-			}
-			for r, v := range inst.Regs {
-				vm.Regs().Poke(r, v)
-			}
-			_, att, err = chaosRetry(vm, func() (func() error, error) {
-				s, err := vm.Snapshot()
-				if err != nil {
-					return nil, err
+				_, att, err := chaosRetry(m, inj, every, maxAttempts)
+				ok := err == nil && chaosVerify(memory, data)
+				if vliwArch {
+					vAtt += att
+					if ok {
+						row.VLIWOK++
+					}
+				} else {
+					xAtt += att
+					if ok {
+						row.XIMDOK++
+					}
 				}
-				return func() error { return vm.Restore(s) }, nil
-			}, vinj, every, maxAttempts)
-			vAtt += att
-			if err == nil && chaosVerify(memory, data) {
-				row.VLIWOK++
 			}
 		}
 		row.XIMDAttempts = float64(xAtt) / runs
@@ -260,7 +228,7 @@ func expChaos() error {
 	fmt.Printf("\nhard FU failure (FU%d dies at cycle %d):\n", failFU, failCycle)
 	icfg := inject.Config{Seed: chaosSeed, FUFailures: []inject.FUFailure{{FU: failFU, Cycle: failCycle}}}
 
-	xc, xmem, xerr := chaosXIMD(inst, data, inject.MustNew(icfg))
+	xc, xmem, xerr := chaosRun(inst, false, data, inject.MustNew(icfg))
 	if !errors.Is(xerr, core.ErrFUFailed) {
 		return fmt.Errorf("hard failure: XIMD err = %v, want ErrFUFailed", xerr)
 	}
@@ -282,7 +250,7 @@ func expChaos() error {
 			xrow.StreamsOK, workloads.ChaosLanes-1)
 	}
 
-	vc, vmem, verr := chaosVLIW(inst, data, inject.MustNew(icfg))
+	vc, vmem, verr := chaosRun(inst, true, data, inject.MustNew(icfg))
 	if !errors.Is(verr, core.ErrFUFailed) {
 		return fmt.Errorf("hard failure: VLIW err = %v, want ErrFUFailed", verr)
 	}

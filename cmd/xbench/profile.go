@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"ximd/internal/core"
 	"ximd/internal/inject"
 	"ximd/internal/runner"
-	"ximd/internal/vliw"
 	"ximd/internal/workloads"
 )
 
@@ -62,34 +60,19 @@ func expProfile() error {
 		Seed:    chaosSeed,
 		Latency: inject.LatencyModel{Kind: inject.LatencyUniform, Min: 0, Max: profSpread},
 	}
-	xm, err := core.New(cinst.XIMD, core.Config{Memory: chaosEnv(cdata), Inject: inject.MustNew(icfg)})
-	if err != nil {
-		return err
+	var cycles [2]uint64
+	for i, arch := range []string{"XIMD", "VLIW"} {
+		m, err := chaosMachine(cinst, arch == "VLIW", chaosEnv(cdata), inject.MustNew(icfg))
+		if err != nil {
+			return err
+		}
+		if cycles[i], err = m.Run(); err != nil {
+			return fmt.Errorf("chaos %s: %w", arch, err)
+		}
+		fmt.Printf("  %s:\n", arch)
+		fmt.Print(indent(runner.FormatProfile(runner.NewProfileDoc(cycles[i], m.Stats()))))
 	}
-	for reg, v := range cinst.Regs {
-		xm.Regs().Poke(reg, v)
-	}
-	xc, err := xm.Run()
-	if err != nil {
-		return fmt.Errorf("chaos XIMD: %w", err)
-	}
-	fmt.Println("  XIMD:")
-	fmt.Print(indent(runner.FormatProfile(runner.NewProfileDoc(xc, xm.Stats()))))
-
-	vm, err := vliw.New(cinst.VLIW, vliw.Config{Memory: chaosEnv(cdata), Inject: inject.MustNew(icfg)})
-	if err != nil {
-		return err
-	}
-	for reg, v := range cinst.Regs {
-		vm.Regs().Poke(reg, v)
-	}
-	vc, err := vm.Run()
-	if err != nil {
-		return fmt.Errorf("chaos VLIW: %w", err)
-	}
-	fmt.Println("  VLIW:")
-	fmt.Print(indent(runner.FormatProfile(runner.NewProfileDoc(vc, vm.Stats()))))
-	fmt.Printf("  (%d vs %d cycles: each XIMD stream absorbs its own latency draws; the\n", xc, vc)
+	fmt.Printf("  (%d vs %d cycles: each XIMD stream absorbs its own latency draws; the\n", cycles[0], cycles[1])
 	fmt.Println("   lockstep VLIW stalls the whole word on every one.)")
 	return nil
 }

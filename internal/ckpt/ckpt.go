@@ -1,6 +1,6 @@
 // Package ckpt is the durable checkpoint subsystem: portable binary
-// serialization of in-flight machine snapshots (core.Snapshot /
-// vliw.Snapshot plus the injector's retry attempt), persisted one file
+// serialization of in-flight machine snapshots (core.Snapshot, XIMD or
+// lockstep VLIW, plus the injector's retry attempt), persisted one file
 // per job under an -archive directory's ckpt/ subdirectory.
 //
 // The determinism contract makes a checkpoint sufficient: a run is a
@@ -76,9 +76,11 @@ type Checkpoint struct {
 	Cycle uint64
 	// Attempt is the injector's retry attempt at snapshot time.
 	Attempt uint64
-	// Ximd / Vliw is the architectural snapshot; exactly one is set.
+	// Ximd / Vliw is the architectural snapshot; exactly one is set. A
+	// Vliw snapshot is a lockstep machine's and encodes in the VLIW
+	// layout (vliw.EncodeSnapshot).
 	Ximd *core.Snapshot
-	Vliw *vliw.Snapshot
+	Vliw *core.Snapshot
 }
 
 // Encode serializes the checkpoint into one frame payload.
@@ -98,7 +100,7 @@ func (c *Checkpoint) Encode() ([]byte, error) {
 		}
 	case c.Vliw != nil && c.Ximd == nil:
 		w.U8(archTagVLIW)
-		if err := c.Vliw.Encode(w); err != nil {
+		if err := vliw.EncodeSnapshot(w, c.Vliw); err != nil {
 			return nil, fmt.Errorf("ckpt: %w", err)
 		}
 	default:

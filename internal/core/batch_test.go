@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ximd/internal/inject"
 	"ximd/internal/isa"
 	"ximd/internal/mem"
 )
@@ -110,13 +111,21 @@ func TestBatchStepRoundAllocs(t *testing.T) {
 
 // TestResetMatchesNew holds Machine.Reset to the New contract: a pooled
 // machine rebound to a different program and config must produce
-// exactly the outcome of a freshly-built machine.
+// exactly the outcome of a freshly-built machine. From iteration 60 on
+// the pooled machine alternates between XIMD and lockstep (VLIW)
+// bindings, some under injection, as the sweep's shared pools do.
 func TestResetMatchesNew(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	pooled := &Machine{}
 	first := true
-	for iter := 0; iter < 60; iter++ {
-		prog := randomFusibleXIMDProgram(r)
+	for iter := 0; iter < 100; iter++ {
+		lockstep := iter >= 60 && iter%2 == 0
+		var prog *isa.Program
+		if lockstep {
+			prog = randomLockstepProgram(r)
+		} else {
+			prog = randomFusibleXIMDProgram(r)
+		}
 		if err := prog.Validate(); err != nil {
 			t.Fatalf("iter %d: invalid program: %v", iter, err)
 		}
@@ -125,6 +134,21 @@ func TestResetMatchesNew(t *testing.T) {
 			TolerateConflicts: r.Intn(2) == 0,
 			DetectLivelock:    r.Intn(2) == 0,
 			Engine:            EngineKind(r.Intn(2)),
+		}
+		if lockstep {
+			d, err := PredecodeLockstep(prog)
+			if err != nil {
+				t.Fatalf("iter %d: PredecodeLockstep: %v", iter, err)
+			}
+			cfg.Decoded = d
+		}
+		if lockstep || iter >= 60 && iter%3 == 0 {
+			cfg.Inject = inject.MustNew(randomInjectConfig(r))
+		}
+		if lockstep {
+			// Short limits end some runs mid-stall, leaving stall state
+			// for the next binding to clear.
+			cfg.MaxCycles = uint64(20 + r.Intn(280))
 		}
 
 		pmem := mem.NewShared(diffMemWords)

@@ -18,8 +18,12 @@ import (
 // A snapshot is engine-portable — the packed fast-engine state is
 // canonicalized to slice form — but program-bound: restoring it onto a
 // machine running a different program silently resumes that program from
-// the snapshotted control state.
+// the snapshotted control state. It is mode-bound too: a lockstep
+// machine's snapshot holds only the VLIW state (one PC, the condition
+// codes, the whole-word stall) and restores only onto a lockstep
+// machine.
 type Snapshot struct {
+	lockstep  bool
 	cycle     uint64
 	done      bool
 	failure   error
@@ -33,7 +37,7 @@ type Snapshot struct {
 	stats     Stats
 	regs      *regfile.Snapshot
 	memory    mem.State
-	stall     []uint32
+	stall     []uint32 // per FU (nil without injection); lockstep: the whole-word stall
 	failed    []bool
 	nFailed   int
 }
@@ -41,38 +45,79 @@ type Snapshot struct {
 // Cycle returns the cycle number at which the snapshot was taken.
 func (s *Snapshot) Cycle() uint64 { return s.cycle }
 
+// LockstepState is the content of a lockstep machine's snapshot: what
+// the VLIW checkpoint wire layout (internal/vliw) carries.
+type LockstepState struct {
+	Cycle  uint64
+	PC     isa.Addr
+	CC     []bool
+	Stats  Stats
+	Regs   *regfile.Snapshot
+	Memory mem.State
+	Stall  uint32 // remaining whole-word stall cycles
+}
+
+// LockstepState returns the content of an in-flight lockstep snapshot.
+// XIMD snapshots and terminal ones (done or failed: the latched error
+// cannot round-trip) have none to give.
+func (s *Snapshot) LockstepState() (LockstepState, error) {
+	if !s.lockstep {
+		return LockstepState{}, fmt.Errorf("not a lockstep snapshot")
+	}
+	if s.done || s.failure != nil {
+		return LockstepState{}, fmt.Errorf("cannot encode a terminal snapshot (done=%v, failure=%v)", s.done, s.failure)
+	}
+	return LockstepState{Cycle: s.cycle, PC: s.pc[0], CC: s.cc, Stats: s.stats,
+		Regs: s.regs, Memory: s.memory, Stall: s.stall[0]}, nil
+}
+
+// NewLockstepSnapshot rebuilds a lockstep snapshot from its content,
+// for restoring onto a lockstep machine.
+func NewLockstepSnapshot(st LockstepState) *Snapshot {
+	return &Snapshot{lockstep: true, cycle: st.Cycle, pc: []isa.Addr{st.PC}, cc: st.CC,
+		stats: st.Stats, regs: st.Regs, memory: st.Memory, stall: []uint32{st.Stall}}
+}
+
 // Snapshot captures the machine's state between cycles. It fails when
 // the memory model cannot be checkpointed (e.g. devices are mapped).
 func (m *Machine) Snapshot() (*Snapshot, error) {
 	ckpt, ok := m.memory.(mem.Checkpointable)
 	if !ok {
-		return nil, fmt.Errorf("core: memory model %T does not support checkpointing", m.memory)
+		return nil, m.errorf("memory model %T does not support checkpointing", m.memory)
 	}
 	memState, err := ckpt.SnapshotState()
 	if err != nil {
-		return nil, fmt.Errorf("core: snapshot: %w", err)
+		return nil, m.errorf("snapshot: %w", err)
 	}
 	n := m.numFU
 	s := &Snapshot{
-		cycle:     m.cycle,
-		done:      m.done,
-		failure:   m.failure,
-		pc:        append([]isa.Addr(nil), m.pc...),
-		cc:        make([]bool, n),
-		ccValid:   make([]bool, n),
-		halted:    make([]bool, n),
-		prevSS:    make([]isa.Sync, n),
-		prevState: m.prevState,
-		sset:      append([]int(nil), m.tracker.sset...),
-		stats:     m.stats.Clone(),
-		regs:      m.regs.Snapshot(),
-		memory:    memState,
-		nFailed:   m.nFailed,
+		lockstep: m.lockstep,
+		cycle:    m.cycle,
+		done:     m.done,
+		failure:  m.failure,
+		cc:       make([]bool, n),
+		stats:    m.stats.Clone(),
+		regs:     m.regs.Snapshot(),
+		memory:   memState,
 	}
+	for fu := 0; fu < n; fu++ {
+		s.cc[fu] = m.CC(fu)
+	}
+	if m.lockstep {
+		s.pc = []isa.Addr{m.pc[0]}
+		s.stall = []uint32{m.wordStall}
+		return s, nil
+	}
+	s.pc = append([]isa.Addr(nil), m.pc...)
+	s.ccValid = make([]bool, n)
+	s.halted = make([]bool, n)
+	s.prevSS = make([]isa.Sync, n)
+	s.prevState = m.prevState
+	s.sset = append([]int(nil), m.tracker.sset...)
+	s.nFailed = m.nFailed
 	if m.code != nil {
 		for fu := 0; fu < n; fu++ {
 			bit := uint8(1) << fu
-			s.cc[fu] = m.ccBits&bit != 0
 			s.ccValid[fu] = m.ccValidBits&bit != 0
 			s.halted[fu] = m.haltedBits&bit != 0
 			if m.prevSSBits&bit != 0 {
@@ -80,7 +125,6 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 			}
 		}
 	} else {
-		copy(s.cc, m.cc)
 		copy(s.ccValid, m.ccValid)
 		copy(s.halted, m.halted)
 		copy(s.prevSS, m.prevSS)
@@ -97,36 +141,57 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 // which is what makes checkpoint-retry possible). The injector's retry
 // attempt is deliberately NOT architectural state: the caller bumps it
 // via Injector.NextAttempt so the replay draws fresh transient faults.
+//
+// A snapshot whose shape does not fit the machine — another FU count,
+// the other machine mode, or a PC past the end of the program (a
+// checkpoint from some other program that decoded cleanly) — is
+// refused with an error, leaving the machine untouched.
 func (m *Machine) Restore(s *Snapshot) error {
-	if len(s.pc) != m.numFU {
-		return fmt.Errorf("core: snapshot of %d FUs does not fit machine of %d", len(s.pc), m.numFU)
+	if s.lockstep != m.lockstep {
+		return m.errorf("snapshot (lockstep=%v) does not fit machine (lockstep=%v)", s.lockstep, m.lockstep)
+	}
+	if len(s.cc) != m.numFU {
+		return m.errorf("snapshot of %d FUs does not fit machine of %d", len(s.cc), m.numFU)
+	}
+	for _, pc := range s.pc {
+		if int(pc) >= m.prog.Len() {
+			return m.errorf("snapshot PC %d lies outside the %d-word program", pc, m.prog.Len())
+		}
 	}
 	ckpt, ok := m.memory.(mem.Checkpointable)
 	if !ok {
-		return fmt.Errorf("core: memory model %T does not support checkpointing", m.memory)
+		return m.errorf("memory model %T does not support checkpointing", m.memory)
 	}
 	if err := ckpt.RestoreState(s.memory); err != nil {
-		return fmt.Errorf("core: restore: %w", err)
+		return m.errorf("restore: %w", err)
 	}
 	m.regs.Restore(s.regs)
 	m.cycle = s.cycle
 	m.done = s.done
 	m.failure = s.failure
-	copy(m.pc, s.pc)
+	m.stats = s.stats.Clone()
 	copy(m.cc, s.cc)
+	m.ccBits = 0
+	for fu, v := range s.cc {
+		if v {
+			m.ccBits |= uint8(1) << fu
+		}
+	}
+	if m.lockstep {
+		m.pc[0] = s.pc[0]
+		m.wordStall = s.stall[0]
+		return nil
+	}
+	copy(m.pc, s.pc)
 	copy(m.ccValid, s.ccValid)
 	copy(m.halted, s.halted)
 	copy(m.prevSS, s.prevSS)
 	m.prevState = s.prevState
 	copy(m.tracker.sset, s.sset)
-	m.stats = s.stats.Clone()
 	if m.code != nil {
-		m.ccBits, m.ccValidBits, m.haltedBits, m.prevSSBits = 0, 0, 0, 0
+		m.ccValidBits, m.haltedBits, m.prevSSBits = 0, 0, 0
 		for fu := 0; fu < m.numFU; fu++ {
 			bit := uint8(1) << fu
-			if s.cc[fu] {
-				m.ccBits |= bit
-			}
 			if s.ccValid[fu] {
 				m.ccValidBits |= bit
 			}
@@ -151,4 +216,14 @@ func (m *Machine) Restore(s *Snapshot) error {
 		m.nFailed = s.nFailed
 	}
 	return nil
+}
+
+// errorf builds a host-side machine error (snapshot, restore) under the
+// machine's package prefix: "vliw: " in lockstep mode, else "core: ".
+func (m *Machine) errorf(format string, args ...any) error {
+	prefix := "core: "
+	if m.lockstep {
+		prefix = "vliw: "
+	}
+	return fmt.Errorf(prefix+format, args...)
 }

@@ -10,8 +10,7 @@ import (
 // structural class baked into flag bits, and branch conditions compiled
 // to bitmask compares over packed CC/SS vectors — so the per-cycle
 // interpreter loop never re-derives any static property of a parcel.
-// The VLIW baseline (internal/vliw) reuses DecodedOp and CompiledCond
-// for its own decoded instruction table.
+// Lockstep (VLIW) machines run from the same table.
 
 // DecodedOp flag bits. The opcode's structural class (isa.ClassOf) and
 // the operand kinds are resolved at decode time into these flags so the
@@ -239,8 +238,8 @@ func (u *uop) syncCond() bool { return u.meta&metaSyncCond != 0 }
 // trap reports an unoccupied slot; executing it is a simulation error.
 func (u *uop) trap() bool { return u.meta&metaTrap != 0 }
 
-// data reassembles the parcel's data operation as a DecodedOp (the form
-// shared with the VLIW decoder and the superop fuser).
+// data reassembles the parcel's data operation as a DecodedOp (the
+// superop fuser's form).
 func (u *uop) data() DecodedOp {
 	return DecodedOp{Flags: u.Flags, Op: u.Op, AReg: u.AReg, BReg: u.BReg,
 		Dest: u.Dest, AImm: u.AImm, BImm: u.BImm}

@@ -392,7 +392,7 @@ func (m *Machine) regWriteFault(fu int, err error) error {
 		m.stats.PortConflicts[fu]++
 		return nil
 	}
-	return &SimError{Cycle: m.cycle, FU: fu, Err: err}
+	return m.simErr(fu, err)
 }
 
 // storeFault resolves a failed memory store, mirroring regWriteFault.
@@ -401,12 +401,23 @@ func (m *Machine) storeFault(fu int, err error) error {
 		m.stats.MemConflicts++
 		return nil
 	}
-	return &SimError{Cycle: m.cycle, FU: fu, Err: err}
+	return m.simErr(fu, err)
+}
+
+// simErr wraps an execution fault with cycle and FU context (fu -1:
+// not attributable to one FU). A lockstep machine keeps the VLIW
+// baseline's error text, "vliw: cycle N, FUk: ...".
+func (m *Machine) simErr(fu int, err error) error {
+	e := &SimError{Cycle: m.cycle, FU: fu, Err: err}
+	if m.lockstep {
+		return fmt.Errorf("vliw: %w", e)
+	}
+	return e
 }
 
 // failFU latches an execution fault with cycle and FU context.
 func (m *Machine) failFU(fu int, err error) error {
-	return m.fail(&SimError{Cycle: m.cycle, FU: fu, Err: err})
+	return m.fail(m.simErr(fu, err))
 }
 
 // failTrap latches the trap-parcel fault with the reference engine's

@@ -26,7 +26,7 @@ import "ximd/internal/isa"
 //     op faults (ALU trap, out-of-range access, non-tolerated store
 //     conflict) the run discards the buffers, commits the completed
 //     prefix, rewinds the machine to the start of the faulting word,
-//     and replays that one word through the per-cycle stepFast — which
+//     and replays that one word through the per-cycle Step — which
 //     reproduces the partial statistics, the port accounting, and the
 //     exact error text of an unfused run, byte for byte. A store past
 //     the memory's backed prefix takes the same replay, which grows
@@ -39,6 +39,11 @@ import "ximd/internal/isa"
 // per-cycle Step, which remains the single source of truth for one
 // cycle's semantics — Step itself never fuses, so cycle-lockstep
 // differential tests are unaffected.
+//
+// Lockstep (VLIW) machines share the whole runtime: a linear word is
+// the same there, and only the run's exit bookkeeping differs — every
+// cycle is one stream, with no partition tracker or livelock digest to
+// reconstruct (fuseExit).
 
 // StepN executes up to n machine cycles, using fused superop runs when
 // eligible. It is semantically identical to calling Step n times and
@@ -86,8 +91,8 @@ func (m *Machine) StepN(n uint64) (running bool, err error) {
 func (m *Machine) fusibleAt() uint64 {
 	pc := m.pc[0]
 	k := uint64(m.fuse.runLen[pc])
-	if k == 0 {
-		return 0
+	if k == 0 || m.lockstep {
+		return k
 	}
 	for fu := 1; fu < m.numFU; fu++ {
 		if m.pc[fu] != pc {
@@ -114,7 +119,6 @@ func (m *Machine) fusedRun(entry isa.Addr, maxWords uint64) (uint64, error) {
 		k = maxWords
 	}
 	entryCycle := m.cycle
-	s0 := m.tracker.numSSETs()
 	ccBits, ccValidBits := m.ccBits, m.ccValidBits
 	var lastSS uint8
 
@@ -154,7 +158,7 @@ func (m *Machine) fusedRun(entry isa.Addr, maxWords uint64) (uint64, error) {
 				if laddr < uint32(len(words)) {
 					v = words[laddr]
 				} else if laddr >= m.shared.Size() {
-					return m.fuseBail(entry, i, s0, lastSS, ccBits, ccValidBits, entryCycle)
+					return m.fuseBail(entry, i, lastSS, ccBits, ccValidBits, entryCycle)
 				}
 				wReg[nw] = op.Dest
 				wVal[nw] = v
@@ -162,12 +166,12 @@ func (m *Machine) fusedRun(entry isa.Addr, maxWords uint64) (uint64, error) {
 			case isa.OpStore:
 				saddr := uint32(b.Int())
 				if saddr >= uint32(len(words)) {
-					return m.fuseBail(entry, i, s0, lastSS, ccBits, ccValidBits, entryCycle)
+					return m.fuseBail(entry, i, lastSS, ccBits, ccValidBits, entryCycle)
 				}
 				for si := 0; si < ns; si++ {
 					if sAddr[si] == saddr {
 						if !tolerate {
-							return m.fuseBail(entry, i, s0, lastSS, ccBits, ccValidBits, entryCycle)
+							return m.fuseBail(entry, i, lastSS, ccBits, ccValidBits, entryCycle)
 						}
 						conflicts++
 						break
@@ -179,7 +183,7 @@ func (m *Machine) fusedRun(entry isa.Addr, maxWords uint64) (uint64, error) {
 			default:
 				res, cc, aerr := isa.EvalALU(op.Op, a, b)
 				if aerr != nil {
-					return m.fuseBail(entry, i, s0, lastSS, ccBits, ccValidBits, entryCycle)
+					return m.fuseBail(entry, i, lastSS, ccBits, ccValidBits, entryCycle)
 				}
 				if op.Flags&flagWritesCC != 0 {
 					bit := uint8(1) << op.fu
@@ -211,7 +215,7 @@ func (m *Machine) fusedRun(entry isa.Addr, maxWords uint64) (uint64, error) {
 		lastSS = w.ssMask
 	}
 
-	m.fuseExit(entry, k, s0, lastSS, ccBits, ccValidBits, entryCycle)
+	m.fuseExit(entry, k, lastSS, ccBits, ccValidBits, entryCycle)
 	return k, nil
 }
 
@@ -220,7 +224,7 @@ func (m *Machine) fusedRun(entry isa.Addr, maxWords uint64) (uint64, error) {
 // steps: statistics, port and memory accounting, architectural state
 // (PCs, CC/SS vectors, cycle count), the partition tracker, and the
 // livelock digest.
-func (m *Machine) fuseExit(entry isa.Addr, j uint64, s0 int, lastSS, ccBits, ccValidBits uint8, entryCycle uint64) {
+func (m *Machine) fuseExit(entry isa.Addr, j uint64, lastSS, ccBits, ccValidBits uint8, entryCycle uint64) {
 	fi := m.fuse
 	n := m.numFU
 
@@ -249,32 +253,39 @@ func (m *Machine) fuseExit(entry isa.Addr, j uint64, s0 int, lastSS, ccBits, ccV
 	}
 	m.stats.Loads += loads
 	m.stats.Stores += stores
+	m.regs.AddBulk(j, reads, writes, peakR, peakW)
+	m.shared.AddCounters(loads, stores)
+	m.ccBits, m.ccValidBits = ccBits, ccValidBits
+	m.cycle = entryCycle + j
+	exit := entry + isa.Addr(j)
+
+	if m.lockstep {
+		// One sequencer: every cycle of the run is one stream.
+		m.stats.Cycles += j
+		m.stats.StreamHistogram[1] += j
+		m.pc[0] = exit
+		return
+	}
 
 	// Stream accounting. The entry cycle observes the pre-run partition
 	// (the tracker updates after statistics, so the per-cycle path would
-	// see the same). Every FU then executes the identical goto from the
-	// same address, so the tracker's split pass groups by (sset, pc,
-	// tag) and its merge pass joins all groups on the shared goto tag —
-	// after one update the partition is a single SSET (the documented
-	// over-merge rule for same-address unconditional branches), and it
-	// stays that way for the rest of the run.
-	m.stats.observeStreams(s0)
+	// see the same; the run has not touched it). Every FU then executes
+	// the identical goto from the same address, so the tracker's split
+	// pass groups by (sset, pc, tag) and its merge pass joins all groups
+	// on the shared goto tag — after one update the partition is a
+	// single SSET (the documented over-merge rule for same-address
+	// unconditional branches), and it stays that way for the rest of
+	// the run.
+	m.stats.observeStreams(m.tracker.numSSETs())
 	if j > 1 {
 		m.stats.Cycles += j - 1
 		m.stats.StreamHistogram[1] += j - 1
 	}
-
-	m.regs.AddBulk(j, reads, writes, peakR, peakW)
-	m.shared.AddCounters(loads, stores)
-
-	exit := entry + isa.Addr(j)
 	for fu := 0; fu < n; fu++ {
 		m.pc[fu] = exit
 	}
-	m.ccBits, m.ccValidBits = ccBits, ccValidBits
 	m.ssBits = lastSS
 	m.prevSSBits = lastSS
-	m.cycle = entryCycle + j
 	m.tracker.mergeAll()
 
 	if m.config.DetectLivelock {
@@ -299,14 +310,13 @@ func (m *Machine) fuseExit(entry isa.Addr, j uint64, s0 int, lastSS, ccBits, ccV
 // per-cycle path grows the prefix): the completed prefix [entry,
 // entry+i) commits its bulk bookkeeping, the machine rewinds to the
 // start of the bailing word (its buffered effects are simply dropped),
-// and the word replays through the per-cycle stepFast, which
-// reproduces the partial statistics and the exact error of an unfused
-// run.
-func (m *Machine) fuseBail(entry isa.Addr, i uint64, s0 int, lastSS, ccBits, ccValidBits uint8, entryCycle uint64) (uint64, error) {
+// and the word replays through the per-cycle Step, which reproduces
+// the partial statistics and the exact error of an unfused run.
+func (m *Machine) fuseBail(entry isa.Addr, i uint64, lastSS, ccBits, ccValidBits uint8, entryCycle uint64) (uint64, error) {
 	if i > 0 {
-		m.fuseExit(entry, i, s0, lastSS, ccBits, ccValidBits, entryCycle)
+		m.fuseExit(entry, i, lastSS, ccBits, ccValidBits, entryCycle)
 	}
-	_, err := m.stepFast()
+	_, err := m.Step()
 	executed := i
 	if err == nil {
 		// A growing store replays cleanly; for a fault, the replay

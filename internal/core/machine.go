@@ -67,7 +67,8 @@ type Config struct {
 	// DetectLivelock stops the simulation with ErrLivelock when the
 	// architectural state reaches a fixed point with FUs still running.
 	// Leave it off for programs that poll memory-mapped devices, whose
-	// load values legitimately change with the cycle number.
+	// load values legitimately change with the cycle number. Lockstep
+	// machines ignore it.
 	DetectLivelock bool
 	// Inject, if non-nil and enabled, perturbs the datapath with seeded
 	// variable memory latency, transient faults, and hard FU failures.
@@ -79,7 +80,8 @@ type Config struct {
 	// micro-op table (core.Predecode). New then skips re-validating and
 	// re-decoding the program — the ximdd decoded-program cache's hit
 	// path. The table must have been built from the same *isa.Program
-	// passed to New.
+	// passed to New. A table from PredecodeLockstep also selects
+	// lockstep (VLIW) mode, on either engine.
 	Decoded *Decoded
 	// DisableFusion turns off the fused superop execution engine: Run and
 	// StepN then execute strictly cycle by cycle even where straight-line
@@ -110,7 +112,10 @@ type Tracer interface {
 	Cycle(rec *CycleRecord)
 }
 
-// CycleRecord is the observable state of one executed cycle.
+// CycleRecord is the observable state of one executed cycle. A lockstep
+// machine's record has the VLIW shape: PC holds the one sequencer's PC,
+// CC the condition codes, Parcels the word (nil on a stall cycle, when
+// Stalled is all true), and the other columns stay nil.
 type CycleRecord struct {
 	// Cycle is the cycle number, counting from 0.
 	Cycle uint64
@@ -187,7 +192,9 @@ func errDegraded() error {
 	return fmt.Errorf("surviving streams completed after hard FU failure: %w", ErrFUFailed)
 }
 
-// Machine is an XIMD-1 processor instance.
+// Machine is an XIMD-1 processor instance, or, built from a lockstep
+// table (PredecodeLockstep), the VLIW baseline: the same datapath under
+// one sequencer (lockstep.go).
 type Machine struct {
 	prog   *isa.Program
 	numFU  int
@@ -203,6 +210,15 @@ type Machine struct {
 	cycle   uint64
 	done    bool
 	failure error // terminal error latched by the first failing Step
+
+	// Lockstep (VLIW) mode, fixed by the Decoded table at bind. pc[0] is
+	// the one program counter; the partition tracker, halt vectors, and
+	// per-FU stall state stay idle. wordStall counts the remaining
+	// whole-word stall cycles, wordLat the slowest injected load latency
+	// of the word in flight.
+	lockstep  bool
+	wordStall uint32
+	wordLat   uint32
 
 	tracker *partitionTracker
 	stats   Stats
@@ -311,6 +327,8 @@ func (m *Machine) bind(prog *isa.Program, cfg Config) error {
 	m.prog = prog
 	m.numFU = n
 	m.config = cfg
+	m.lockstep = cfg.Decoded != nil && cfg.Decoded.lockstep
+	m.wordStall, m.wordLat = 0, 0
 	if m.regs == nil {
 		m.regs = regfile.New()
 	} else {
@@ -319,37 +337,51 @@ func (m *Machine) bind(prog *isa.Program, cfg Config) error {
 	m.memory = cfg.Memory
 	m.pc = resetSlice(m.pc, n)
 	m.cc = resetSlice(m.cc, n)
-	m.ccValid = resetSlice(m.ccValid, n)
-	m.halted = resetSlice(m.halted, n)
 	m.cycle = 0
 	m.done = false
 	m.failure = nil
-	if m.tracker == nil {
-		m.tracker = newPartitionTracker(n)
-	} else {
-		m.tracker.reset(n)
+	if !m.lockstep || cfg.Tracer != nil {
+		m.parcels = resetSlice(m.parcels, n) // the trace's parcel column
 	}
-	m.ss = resetSlice(m.ss, n)
-	m.prevSS = resetSlice(m.prevSS, n)
-	m.parcels = resetSlice(m.parcels, n)
-	m.nextPC = resetSlice(m.nextPC, n)
-	m.willHalt = resetSlice(m.willHalt, n)
-	m.trans = resetSlice(m.trans, n)
 	m.ccWrites = m.ccWrites[:0]
 	m.record = CycleRecord{}
-	m.prevState = fingerprint{}
 	for i := range m.pc {
 		m.pc[i] = prog.Entry
 	}
 	m.stats.Reset(n)
+	if !m.lockstep {
+		// Per-FU sequencer state, which a lockstep machine never reads
+		// (a pooled machine keeps it stale across a lockstep binding).
+		m.ccValid = resetSlice(m.ccValid, n)
+		m.halted = resetSlice(m.halted, n)
+		if m.tracker == nil {
+			m.tracker = newPartitionTracker(n)
+		} else {
+			m.tracker.reset(n)
+		}
+		m.ss = resetSlice(m.ss, n)
+		m.prevSS = resetSlice(m.prevSS, n)
+		m.nextPC = resetSlice(m.nextPC, n)
+		m.willHalt = resetSlice(m.willHalt, n)
+		m.trans = resetSlice(m.trans, n)
+		m.prevState = fingerprint{}
+	}
 
 	m.inject = nil
 	m.nFailed = 0
 	if cfg.Inject.Enabled() {
 		m.inject = cfg.Inject
-		m.stall = resetSlice(m.stall, n)
-		m.failed = resetSlice(m.failed, n)
 		m.stalledNow = resetSlice(m.stalledNow, n)
+		if m.lockstep {
+			// A lockstep stall stops every FU: the trace's Stalled vector.
+			for fu := range m.stalledNow {
+				m.stalledNow[fu] = true
+			}
+			m.stall, m.failed = nil, nil
+		} else {
+			m.stall = resetSlice(m.stall, n)
+			m.failed = resetSlice(m.failed, n)
+		}
 	} else {
 		m.stall, m.failed, m.stalledNow = nil, nil, nil
 	}
@@ -367,7 +399,9 @@ func (m *Machine) bind(prog *isa.Program, cfg Config) error {
 			m.code = decodeProgram(prog)
 			m.fuse = fuseProgram(prog, m.code)
 		}
-		m.uops = resetSlice(m.uops, n)
+		if !m.lockstep {
+			m.uops = resetSlice(m.uops, n)
+		}
 		if sh, ok := cfg.Memory.(*mem.Shared); ok {
 			m.shared = sh
 		}
@@ -407,8 +441,14 @@ func (m *Machine) Regs() *regfile.File { return m.regs }
 // Memory exposes the memory model.
 func (m *Machine) Memory() mem.Memory { return m.memory }
 
-// PC returns FU fu's current program counter.
-func (m *Machine) PC(fu int) isa.Addr { return m.pc[fu] }
+// PC returns FU fu's current program counter (on a lockstep machine,
+// the one sequencer's).
+func (m *Machine) PC(fu int) isa.Addr {
+	if m.lockstep {
+		return m.pc[0]
+	}
+	return m.pc[fu]
+}
 
 // CC returns FU fu's condition code register.
 func (m *Machine) CC(fu int) bool {
@@ -418,8 +458,14 @@ func (m *Machine) CC(fu int) bool {
 	return m.cc[fu]
 }
 
-// Partition returns the SSET partition currently in effect.
-func (m *Machine) Partition() Partition { return m.tracker.partition() }
+// Partition returns the SSET partition currently in effect: on a
+// lockstep machine, always one SSET of every FU.
+func (m *Machine) Partition() Partition {
+	if m.lockstep {
+		return Partition{sset: make([]int, m.numFU)}
+	}
+	return m.tracker.partition()
+}
 
 // HardFailed reports whether FU fu has been retired by an injected hard
 // failure. Always false when injection is disabled.
@@ -446,6 +492,12 @@ func (m *Machine) fail(err error) error {
 // have halted. After any error the machine is dead: subsequent Step
 // calls return the same error rather than executing past the failure.
 func (m *Machine) Step() (running bool, err error) {
+	if m.lockstep {
+		if m.code != nil {
+			return m.stepLockstep()
+		}
+		return m.stepLockstepRef()
+	}
 	if m.code != nil {
 		return m.stepFast()
 	}
@@ -456,7 +508,7 @@ func (m *Machine) Step() (running bool, err error) {
 		return false, nil
 	}
 	if m.cycle >= m.config.MaxCycles {
-		return false, m.fail(&SimError{Cycle: m.cycle, FU: -1, Err: ErrMaxCycles})
+		return false, m.fail(m.simErr(-1, ErrMaxCycles))
 	}
 	if m.inject != nil {
 		m.markFailures()
@@ -713,17 +765,17 @@ func (m *Machine) execData(fu int, d isa.DataOp) (wrote bool, err error) {
 	if m.inject != nil &&
 		(cl.ReadsA() && d.A.Kind != isa.Imm || cl.ReadsB() && d.B.Kind != isa.Imm) &&
 		m.inject.DropRegPort(m.cycle, fu) {
-		return false, &SimError{Cycle: m.cycle, FU: fu, Err: errRegPortDrop()}
+		return false, m.simErr(fu, errRegPortDrop())
 	}
 	var a, b isa.Word
 	if cl.ReadsA() {
 		if a, err = m.readOperand(fu, d.A); err != nil {
-			return false, &SimError{Cycle: m.cycle, FU: fu, Err: err}
+			return false, m.simErr(fu, err)
 		}
 	}
 	if cl.ReadsB() {
 		if b, err = m.readOperand(fu, d.B); err != nil {
-			return false, &SimError{Cycle: m.cycle, FU: fu, Err: err}
+			return false, m.simErr(fu, err)
 		}
 	}
 
@@ -734,37 +786,41 @@ func (m *Machine) execData(fu int, d isa.DataOp) (wrote bool, err error) {
 		m.stats.Loads++
 		addr := uint32(a.Int() + b.Int())
 		if m.inject != nil && m.inject.MemNAK(m.cycle, fu, addr) {
-			return false, &SimError{Cycle: m.cycle, FU: fu, Err: errMemNAK(addr)}
+			return false, m.simErr(fu, errMemNAK(addr))
 		}
 		v, err := m.memory.Load(fu, addr)
 		if err != nil {
-			return false, &SimError{Cycle: m.cycle, FU: fu, Err: err}
+			return false, m.simErr(fu, err)
 		}
 		if m.inject != nil {
 			if mask := m.inject.FlipMask(m.cycle, fu, addr); mask != 0 {
 				v ^= isa.Word(mask)
 				m.stats.BitFlips++
 			}
-			m.stall[fu] = m.inject.LoadLatency(m.cycle, fu, addr)
+			if k := m.inject.LoadLatency(m.cycle, fu, addr); m.lockstep {
+				m.wordLat = max(m.wordLat, k)
+			} else {
+				m.stall[fu] = k
+			}
 		}
 		return true, m.writeReg(fu, d.Dest, v)
 	case isa.OpStore:
 		m.stats.Stores++
 		if m.inject != nil && m.inject.MemNAK(m.cycle, fu, uint32(b.Int())) {
-			return false, &SimError{Cycle: m.cycle, FU: fu, Err: errMemNAK(uint32(b.Int()))}
+			return false, m.simErr(fu, errMemNAK(uint32(b.Int())))
 		}
 		if err := m.memory.Store(fu, uint32(b.Int()), a); err != nil {
 			if _, isConflict := err.(*mem.ConflictError); isConflict && m.config.TolerateConflicts {
 				m.stats.MemConflicts++
 				return true, nil
 			}
-			return false, &SimError{Cycle: m.cycle, FU: fu, Err: err}
+			return false, m.simErr(fu, err)
 		}
 		return true, nil
 	default:
 		res, cc, err := isa.EvalALU(d.Op, a, b)
 		if err != nil {
-			return false, &SimError{Cycle: m.cycle, FU: fu, Err: err}
+			return false, m.simErr(fu, err)
 		}
 		if cl.WritesCC() {
 			m.ccWrites = append(m.ccWrites, ccWrite{fu: fu, val: cc})
@@ -792,7 +848,7 @@ func (m *Machine) writeReg(fu int, reg uint8, v isa.Word) error {
 			m.stats.PortConflicts[fu]++
 			return nil
 		}
-		return &SimError{Cycle: m.cycle, FU: fu, Err: err}
+		return m.simErr(fu, err)
 	}
 	return nil
 }

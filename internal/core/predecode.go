@@ -23,6 +23,9 @@ type Decoded struct {
 	prog *isa.Program
 	code []uop
 	fuse *fuseInfo
+	// lockstep marks a table built by PredecodeLockstep: machines built
+	// from it run in lockstep (VLIW) mode.
+	lockstep bool
 }
 
 // Predecode validates prog and builds its fast-engine micro-op table
@@ -36,6 +39,39 @@ func Predecode(prog *isa.Program) (*Decoded, error) {
 	code := decodeProgram(prog)
 	return &Decoded{prog: prog, code: code, fuse: fuseProgram(prog, code)}, nil
 }
+
+// PredecodeLockstep is Predecode for the VLIW baseline: machines built
+// from the table run in lockstep mode, one sequencer driving every FU
+// (Section 3.1: a VLIW program is an XIMD program with its single
+// control operation copied into every parcel, which is exactly what the
+// program must be). Lockstep differs from XIMD execution where the
+// architectures differ: each word evaluates its control operation once,
+// every cycle is one instruction stream, an injected load latency
+// stalls the whole word, and a hard FU failure is terminal the moment
+// it lands. Errors read "vliw: cycle N, FUk: ...".
+func PredecodeLockstep(prog *isa.Program) (*Decoded, error) {
+	d, err := Predecode(prog)
+	if err != nil {
+		return nil, err
+	}
+	for addr, instr := range prog.Instrs {
+		ctrl := instr[0].Ctrl
+		for fu := 0; fu < prog.NumFU; fu++ {
+			if instr[fu].Trap || !instr[fu].Ctrl.Equal(ctrl) {
+				return nil, fmt.Errorf("core: lockstep: address %d does not carry one control operation in every parcel", addr)
+			}
+		}
+		if ctrl.Kind == isa.CtrlCond && ctrl.Cond.ReadsSS() {
+			return nil, fmt.Errorf("core: lockstep: address %d: %s reads synchronization signals", addr, ctrl)
+		}
+	}
+	d.lockstep = true
+	return d, nil
+}
+
+// Lockstep reports whether machines built from the table run in
+// lockstep (VLIW) mode.
+func (d *Decoded) Lockstep() bool { return d.lockstep }
 
 // Program returns the validated program the table was decoded from. The
 // caller must not mutate it: the decoded table mirrors its contents.

@@ -103,6 +103,9 @@ func decodeAddrs(r *wire.Reader) []isa.Addr {
 // machines do not encode: the latched error value cannot round-trip,
 // and a terminal run is archived as a result document, never resumed.
 func (s *Snapshot) Encode(w *wire.Writer) error {
+	if s.lockstep {
+		return fmt.Errorf("core: a lockstep snapshot encodes in the VLIW layout (vliw.EncodeSnapshot)")
+	}
 	if s.done || s.failure != nil {
 		return fmt.Errorf("core: cannot encode a terminal snapshot (done=%v, failure=%v)", s.done, s.failure)
 	}

@@ -71,7 +71,7 @@ func BenchmarkCheckpointSave(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := core.New(nil, core.Config{Decoded: prog.ximd, Memory: mem.NewShared(0), MaxCycles: 1 << 40})
+	m, err := core.New(nil, core.Config{Decoded: prog.dec, Memory: mem.NewShared(0), MaxCycles: 1 << 40})
 	if err != nil {
 		b.Fatal(err)
 	}

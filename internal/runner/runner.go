@@ -109,35 +109,25 @@ func ExitCode(err error) int {
 var imageMagic = []byte{0x44, 0x4d, 0x49, 0x58}
 
 // Program is a loaded, validated, pre-decoded program for one
-// architecture — the immutable, shareable half of a run. Exactly one of
-// the decoded variants is set, matching Arch.
+// architecture — the immutable, shareable half of a run. A VLIW
+// program's table is a lockstep one (vliw.Predecode), so both
+// architectures run on core.Machine.
 type Program struct {
 	arch Arch
-	ximd *core.Decoded
-	vliw *vliw.Decoded
+	dec  *core.Decoded
 }
 
 // Arch returns the architecture the program was loaded for.
 func (p *Program) Arch() Arch { return p.arch }
 
 // NumFU returns the functional-unit count of the loaded program.
-func (p *Program) NumFU() int {
-	if p.arch == ArchVLIW {
-		return p.vliw.Program().NumFU
-	}
-	return p.ximd.Program().NumFU
-}
+func (p *Program) NumFU() int { return p.dec.Program().NumFU }
 
 // FusibleWords reports how many instruction words of the loaded program
 // begin or continue a fused superop run. Fusion tables are built by
 // Load as part of predecode, so a cached Program carries them already —
 // a decoded-program cache hit gets the fused fast path for free.
-func (p *Program) FusibleWords() int {
-	if p.arch == ArchVLIW {
-		return p.vliw.FusibleWords()
-	}
-	return p.ximd.FusibleWords()
-}
+func (p *Program) FusibleWords() int { return p.dec.FusibleWords() }
 
 // Load builds a Program from source bytes: an encoded binary image
 // (detected by the XIMD magic) or assembly text. For ArchVLIW the
@@ -164,13 +154,13 @@ func Load(arch Arch, source []byte) (*Program, error) {
 		if err != nil {
 			return nil, &LoadError{Err: err}
 		}
-		return &Program{arch: ArchVLIW, vliw: d}, nil
+		return &Program{arch: ArchVLIW, dec: d}, nil
 	default:
 		d, err := core.Predecode(xprog)
 		if err != nil {
 			return nil, &LoadError{Err: err}
 		}
-		return &Program{arch: ArchXIMD, ximd: d}, nil
+		return &Program{arch: ArchXIMD, dec: d}, nil
 	}
 }
 
@@ -309,107 +299,57 @@ func execute(ctx context.Context, prog *Program, spec Spec, opts Options, from *
 	buildSpan.SetAttr("arch", string(prog.arch))
 	res := newResult(prog)
 
-	var rec *trace.Recorder
-	var vrec *vliwRecorder
-	var flight *obs.Ring[trace.Record]
-	var stepN func(uint64) (bool, error)
-	var cycles func() uint64
-	var stats func() core.Stats
-	var snap func() (*ckpt.Checkpoint, error)
-
-	attempt := func() uint64 {
-		if injector != nil {
-			return injector.Attempt()
-		}
-		return 0
-	}
-
+	cfg := prog.config(spec, res.Memory, injector)
+	var tracer *cycleTracer
 	// The flight recorder only needs its own tracer when a full trace is
 	// not already being recorded; with Trace on, the flight window is the
 	// tail of the trace.
-	if opts.FlightCycles > 0 && !opts.Trace {
-		flight = obs.NewRing[trace.Record](opts.FlightCycles)
+	if opts.Trace || opts.FlightCycles > 0 {
+		tracer = &cycleTracer{conv: trace.Copy}
+		if prog.arch == ArchVLIW {
+			tracer.conv = vliwRecord
+		}
+		if !opts.Trace {
+			tracer.ring = obs.NewRing[trace.Record](opts.FlightCycles)
+		}
+		cfg.Tracer = tracer
 	}
-
-	switch prog.arch {
-	case ArchVLIW:
-		cfg := vliw.Config{
-			Memory:            res.Memory,
-			MaxCycles:         spec.MaxCycles,
-			TolerateConflicts: spec.TolerateConflicts,
-			Inject:            injector,
-			Decoded:           prog.vliw,
+	m, err := core.New(nil, cfg)
+	if err != nil {
+		return res, &UsageError{Err: err}
+	}
+	if from != nil {
+		saved := from.Ximd
+		if prog.arch == ArchVLIW {
+			saved = from.Vliw
 		}
-		if opts.Trace {
-			vrec = &vliwRecorder{numFU: prog.NumFU()}
-			cfg.Tracer = vrec
-		} else if flight != nil {
-			cfg.Tracer = &vliwFlightTracer{numFU: prog.NumFU(), ring: flight}
+		if saved == nil {
+			return res, &UsageError{Err: fmt.Errorf("checkpoint carries no %s snapshot", prog.arch)}
 		}
-		m, err := vliw.New(nil, cfg)
-		if err != nil {
+		rs := buildSpan.Child("restore_checkpoint")
+		rs.SetAttrInt("cycle", from.Cycle)
+		if err := m.Restore(saved); err != nil {
 			return res, &UsageError{Err: err}
 		}
-		if from != nil {
-			if from.Vliw == nil {
-				return res, &UsageError{Err: fmt.Errorf("checkpoint carries no vliw snapshot")}
-			}
-			rs := buildSpan.Child("restore_checkpoint")
-			rs.SetAttrInt("cycle", from.Cycle)
-			if err := m.Restore(from.Vliw); err != nil {
-				return res, &UsageError{Err: err}
-			}
-			rs.Finish()
-		} else {
-			hostcfg.Apply(m.Regs(), res.Memory, spec.RegPokes, spec.MemPokes)
-		}
-		stepN, cycles, stats = m.StepN, m.Cycle, m.Stats
-		snap = func() (*ckpt.Checkpoint, error) {
-			s, err := m.Snapshot()
-			if err != nil {
-				return nil, err
-			}
-			return &ckpt.Checkpoint{Arch: string(ArchVLIW), Cycle: m.Cycle(), Attempt: attempt(), Vliw: s}, nil
-		}
-	default:
-		cfg := core.Config{
-			Memory:            res.Memory,
-			MaxCycles:         spec.MaxCycles,
-			TolerateConflicts: spec.TolerateConflicts,
-			Inject:            injector,
-			Decoded:           prog.ximd,
-		}
-		if opts.Trace {
-			rec = &trace.Recorder{}
-			cfg.Tracer = rec
-		} else if flight != nil {
-			cfg.Tracer = &flightTracer{ring: flight}
-		}
-		m, err := core.New(nil, cfg)
+		rs.Finish()
+	} else {
+		hostcfg.Apply(m.Regs(), res.Memory, spec.RegPokes, spec.MemPokes)
+	}
+	snap := func() (*ckpt.Checkpoint, error) {
+		s, err := m.Snapshot()
 		if err != nil {
-			return res, &UsageError{Err: err}
+			return nil, err
 		}
-		if from != nil {
-			if from.Ximd == nil {
-				return res, &UsageError{Err: fmt.Errorf("checkpoint carries no ximd snapshot")}
-			}
-			rs := buildSpan.Child("restore_checkpoint")
-			rs.SetAttrInt("cycle", from.Cycle)
-			if err := m.Restore(from.Ximd); err != nil {
-				return res, &UsageError{Err: err}
-			}
-			rs.Finish()
+		c := &ckpt.Checkpoint{Arch: string(prog.arch), Cycle: m.Cycle()}
+		if injector != nil {
+			c.Attempt = injector.Attempt()
+		}
+		if prog.arch == ArchVLIW {
+			c.Vliw = s
 		} else {
-			hostcfg.Apply(m.Regs(), res.Memory, spec.RegPokes, spec.MemPokes)
+			c.Ximd = s
 		}
-		stepN, cycles, stats = m.StepN, m.Cycle, m.Stats
-		snap = func() (*ckpt.Checkpoint, error) {
-			s, err := m.Snapshot()
-			if err != nil {
-				return nil, err
-			}
-			return &ckpt.Checkpoint{Arch: string(ArchXIMD), Cycle: m.Cycle(), Attempt: attempt(), Ximd: s}, nil
-		}
+		return c, nil
 	}
 
 	buildSpan.Finish()
@@ -429,24 +369,22 @@ func execute(ctx context.Context, prog *Program, spec Spec, opts Options, from *
 
 	runSpan := opts.Span.Child("run")
 	if opts.CheckpointEvery > 0 {
-		err = checkpointLoop(ctx, stepN, cycles, snap, opts.CheckpointEvery, sink)
+		err = checkpointLoop(ctx, m, snap, opts.CheckpointEvery, sink)
 	} else {
-		err = runLoop(ctx, stepN)
+		err = runLoop(ctx, m)
 	}
-	runSpan.SetAttrInt("cycles", cycles())
+	runSpan.SetAttrInt("cycles", m.Cycle())
 	runSpan.Finish()
-	res.Cycles = cycles()
-	res.Stats = stats()
-	if rec != nil {
-		res.Trace = rec.Records
-	}
-	if vrec != nil {
-		res.Trace = vrec.records
-	}
+	res.Cycles = m.Cycle()
+	res.Stats = m.Stats()
 	switch {
-	case flight != nil:
-		res.Flight = flight.Snapshot()
-	case opts.FlightCycles > 0 && len(res.Trace) > 0:
+	case tracer == nil:
+	case tracer.ring != nil:
+		res.Flight = tracer.ring.Snapshot()
+	default:
+		res.Trace = tracer.records
+	}
+	if opts.FlightCycles > 0 && len(res.Trace) > 0 {
 		tail := res.Trace
 		if len(tail) > opts.FlightCycles {
 			tail = tail[len(tail)-opts.FlightCycles:]
@@ -495,8 +433,7 @@ func RunBatch(ctx context.Context, prog *Program, specs []Spec) ([]Result, []err
 	errs := make([]error, len(specs))
 
 	// Build phase: one machine (and memory image) per viable spec.
-	xms := make([]*core.Machine, len(specs))
-	vms := make([]*vliw.Machine, len(specs))
+	ms := make([]*core.Machine, len(specs))
 	for i, spec := range specs {
 		results[i] = newResult(prog)
 		injector, err := specInjector(spec)
@@ -504,73 +441,44 @@ func RunBatch(ctx context.Context, prog *Program, specs []Spec) ([]Result, []err
 			errs[i] = err
 			continue
 		}
-		if prog.arch == ArchVLIW {
-			m, err := vliw.New(nil, vliw.Config{
-				Memory:            results[i].Memory,
-				MaxCycles:         spec.MaxCycles,
-				TolerateConflicts: spec.TolerateConflicts,
-				Inject:            injector,
-				Decoded:           prog.vliw,
-			})
-			if err != nil {
-				errs[i] = &UsageError{Err: err}
-				continue
-			}
-			hostcfg.Apply(m.Regs(), results[i].Memory, spec.RegPokes, spec.MemPokes)
-			vms[i] = m
-		} else {
-			m, err := core.New(nil, core.Config{
-				Memory:            results[i].Memory,
-				MaxCycles:         spec.MaxCycles,
-				TolerateConflicts: spec.TolerateConflicts,
-				Inject:            injector,
-				Decoded:           prog.ximd,
-			})
-			if err != nil {
-				errs[i] = &UsageError{Err: err}
-				continue
-			}
-			hostcfg.Apply(m.Regs(), results[i].Memory, spec.RegPokes, spec.MemPokes)
-			xms[i] = m
+		m, err := core.New(nil, prog.config(spec, results[i].Memory, injector))
+		if err != nil {
+			errs[i] = &UsageError{Err: err}
+			continue
 		}
+		hostcfg.Apply(m.Regs(), results[i].Memory, spec.RegPokes, spec.MemPokes)
+		ms[i] = m
 	}
 
 	// Lockstep phase. NewBatch treats nil entries (failed builds) as
 	// retired with no error, so indices line up with specs throughout.
-	if prog.arch == ArchVLIW {
-		b := vliw.NewBatch(vms)
-		ctxErr := batchRounds(ctx, b.StepRound)
-		for i, m := range vms {
-			if m == nil {
-				continue
-			}
-			results[i].Cycles = m.Cycle()
-			results[i].Stats = m.Stats()
-			switch {
-			case b.Err(i) != nil:
-				errs[i] = b.Err(i)
-			case b.Running(i):
-				errs[i] = ctxErr
-			}
+	b := core.NewBatch(ms)
+	ctxErr := batchRounds(ctx, b.StepRound)
+	for i, m := range ms {
+		if m == nil {
+			continue
 		}
-	} else {
-		b := core.NewBatch(xms)
-		ctxErr := batchRounds(ctx, b.StepRound)
-		for i, m := range xms {
-			if m == nil {
-				continue
-			}
-			results[i].Cycles = m.Cycle()
-			results[i].Stats = m.Stats()
-			switch {
-			case b.Err(i) != nil:
-				errs[i] = b.Err(i)
-			case b.Running(i):
-				errs[i] = ctxErr
-			}
+		results[i].Cycles = m.Cycle()
+		results[i].Stats = m.Stats()
+		switch {
+		case b.Err(i) != nil:
+			errs[i] = b.Err(i)
+		case b.Running(i):
+			errs[i] = ctxErr
 		}
 	}
 	return results, errs
+}
+
+// config is the machine configuration of one run of p.
+func (p *Program) config(spec Spec, memory *mem.Shared, injector *inject.Injector) core.Config {
+	return core.Config{
+		Memory:            memory,
+		MaxCycles:         spec.MaxCycles,
+		TolerateConflicts: spec.TolerateConflicts,
+		Inject:            injector,
+		Decoded:           p.dec,
+	}
 }
 
 // batchRounds drives lockstep rounds until the batch drains or the
@@ -590,12 +498,12 @@ func batchRounds(ctx context.Context, stepRound func(uint64) int) error {
 // batches, checking the context between batches. Bulk stepping is what
 // lets the fused superop engine engage on untraced runs; cancellation
 // latency is unchanged (one batch, exactly as before).
-func runLoop(ctx context.Context, stepN func(uint64) (bool, error)) error {
+func runLoop(ctx context.Context, m *core.Machine) error {
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		running, err := stepN(ctxCheckInterval)
+		running, err := m.StepN(ctxCheckInterval)
 		if err != nil {
 			return err
 		}
@@ -613,19 +521,19 @@ func runLoop(ctx context.Context, stepN func(uint64) (bool, error)) error {
 // did. A snapshot failure (a memory model that cannot checkpoint)
 // disables further snapshots for the run rather than failing it:
 // losing resumability must not lose the result.
-func checkpointLoop(ctx context.Context, stepN func(uint64) (bool, error), cycles func() uint64, snap func() (*ckpt.Checkpoint, error), every uint64, sink func(*ckpt.Checkpoint)) error {
+func checkpointLoop(ctx context.Context, m *core.Machine, snap func() (*ckpt.Checkpoint, error), every uint64, sink func(*ckpt.Checkpoint)) error {
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		cur := cycles()
+		cur := m.Cycle()
 		n := uint64(ctxCheckInterval)
 		if every > 0 {
 			if toBoundary := every - cur%every; toBoundary < n {
 				n = toBoundary
 			}
 		}
-		running, err := stepN(n)
+		running, err := m.StepN(n)
 		if err != nil {
 			return err
 		}
@@ -633,7 +541,7 @@ func checkpointLoop(ctx context.Context, stepN func(uint64) (bool, error), cycle
 			return nil
 		}
 		if every > 0 {
-			if c := cycles(); c > 0 && c%every == 0 {
+			if c := m.Cycle(); c > 0 && c%every == 0 {
 				chk, err := snap()
 				if err != nil {
 					every = 0
@@ -645,51 +553,39 @@ func checkpointLoop(ctx context.Context, stepN func(uint64) (bool, error), cycle
 	}
 }
 
-// vliwRecord adapts one vliw cycle to trace.Record: a single-element
-// PC vector, all condition codes reported valid (the VLIW machine does
+// vliwRecord adapts one lockstep (VLIW) cycle to trace.Record: the
+// single PC, all condition codes reported valid (the VLIW machine does
 // not track validity), and no SS or partition columns (a VLIW has no
 // synchronization signals and always exactly one stream). A whole-word
 // stall marks every FU stalled — the single sequencer waits as one.
-func vliwRecord(rec *vliw.CycleRecord, numFU int) trace.Record {
-	valid := make([]bool, numFU)
+func vliwRecord(rec *core.CycleRecord) trace.Record {
+	valid := make([]bool, len(rec.CC))
 	for i := range valid {
 		valid[i] = true
 	}
-	out := trace.Record{
+	return trace.Record{
 		Cycle:   rec.Cycle,
-		PC:      []isa.Addr{rec.PC},
+		PC:      append([]isa.Addr(nil), rec.PC...),
 		CC:      append([]bool(nil), rec.CC...),
 		CCValid: valid,
+		Stalled: append([]bool(nil), rec.Stalled...),
 	}
-	if rec.Stalled {
-		out.Stalled = make([]bool, numFU)
-		for i := range out.Stalled {
-			out.Stalled[i] = true
-		}
-	}
-	return out
 }
 
-// vliwRecorder captures every cycle of a VLIW run as trace.Records.
-type vliwRecorder struct {
-	numFU   int
+// cycleTracer converts every cycle record to a trace.Record (conv: the
+// architecture's shape) and keeps it: all of them, or, with ring set,
+// the flight recorder's last window.
+type cycleTracer struct {
+	conv    func(*core.CycleRecord) trace.Record
+	ring    *obs.Ring[trace.Record]
 	records []trace.Record
 }
 
-func (r *vliwRecorder) Cycle(rec *vliw.CycleRecord) {
-	r.records = append(r.records, vliwRecord(rec, r.numFU))
+func (t *cycleTracer) Cycle(rec *core.CycleRecord) {
+	r := t.conv(rec)
+	if t.ring != nil {
+		t.ring.Append(r)
+		return
+	}
+	t.records = append(t.records, r)
 }
-
-// flightTracer feeds the XIMD core's cycle records into the flight
-// recorder's bounded ring.
-type flightTracer struct{ ring *obs.Ring[trace.Record] }
-
-func (f *flightTracer) Cycle(rec *core.CycleRecord) { f.ring.Append(trace.Copy(rec)) }
-
-// vliwFlightTracer is the VLIW counterpart of flightTracer.
-type vliwFlightTracer struct {
-	numFU int
-	ring  *obs.Ring[trace.Record]
-}
-
-func (f *vliwFlightTracer) Cycle(rec *vliw.CycleRecord) { f.ring.Append(vliwRecord(rec, f.numFU)) }

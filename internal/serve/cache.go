@@ -13,7 +13,8 @@ import (
 // are hashed at submission over exactly the bytes the client sent (plus
 // the architecture), so a repeat submission skips the whole cold path —
 // assembly, validation, and the fast-engine pre-decode — and reuses the
-// immutable runner.Program (which wraps core.Decoded / vliw.Decoded).
+// immutable runner.Program (which wraps a core.Decoded table, lockstep
+// for VLIW).
 // Correctness rests on two facts, both enforced by tests:
 //
 //   - a runner.Program is read-only after Load, so any number of

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"net/http"
 	"os"
@@ -54,7 +55,7 @@ func referenceDoc(t *testing.T, req JobRequest) string {
 // exactly as a crash-restart would read it.
 func makeCheckpoint(t *testing.T, req JobRequest) *ckpt.Checkpoint {
 	t.Helper()
-	prog, err := runner.Load(runner.ArchXIMD, []byte(req.Source))
+	prog, err := runner.Load(runner.Arch(req.Arch), []byte(req.Source))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,6 +242,79 @@ func TestRecoveryClassification(t *testing.T) {
 	}
 	if len(left) != 0 {
 		t.Fatalf("checkpoint files left after all jobs terminal: %v", left)
+	}
+}
+
+// TestRecoveryRejectsOutOfProgramPC restarts a started job whose
+// checkpoint decodes but carries a PC past the end of the program
+// (format drift the key cannot see). Restore must refuse it, so the
+// job ends in a cold rerun with the uninterrupted result — on both
+// snapshot layouts — instead of panicking in the first Step.
+func TestRecoveryRejectsOutOfProgramPC(t *testing.T) {
+	for _, arch := range []string{"ximd", "vliw"} {
+		t.Run(arch, func(t *testing.T) {
+			req := countdownJob()
+			req.Arch = arch
+			want := referenceDoc(t, req)
+
+			dir := t.TempDir()
+			jnl, _, _, err := openJournal(filepath.Join(dir, "jobs.log"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := req
+			for _, rec := range []journalRecord{
+				{T: journalAccepted, ID: "j-1", Req: &r},
+				{T: journalStarted, ID: "j-1"},
+			} {
+				if _, err := jnl.append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			jnl.close()
+
+			c := makeCheckpoint(t, req)
+			c.Key = checkpointKey(&r)
+			payload, err := c.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The snapshot follows the checkpoint header and begins with
+			// its cycle; the XIMD layout then has a per-FU PC count, the
+			// VLIW layout the single PC.
+			off := 4 + len(ckpt.Magic) + 2 + 4 + len(c.Arch) + 4 + len(c.Key) + 8 + 8 + 1 + 8
+			if arch == "ximd" {
+				off += 4
+			}
+			binary.LittleEndian.PutUint16(payload[off:], 40000)
+			bad, err := ckpt.Decode(payload)
+			if err != nil {
+				t.Fatalf("patched checkpoint no longer decodes: %v", err)
+			}
+			store, err := ckpt.OpenStore(filepath.Join(dir, "ckpt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := store.Save("j-1", bad); err != nil {
+				t.Fatal(err)
+			}
+			store.Close()
+
+			s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4, StateDir: dir, CheckpointEvery: 256})
+			if rec := s.Recovery(); rec.Err != nil || rec.Resumed != 1 {
+				t.Fatalf("recovery = %+v, want the job classified resumable", rec)
+			}
+			st, body := waitTerminal(t, ts, "j-1")
+			if st.Status != StateDone {
+				t.Fatalf("j-1: %s (%s)", st.Status, st.Error)
+			}
+			if got := string(resultField(t, body)); got != want {
+				t.Fatalf("cold rerun result diverges:\n got %s\nwant %s", got, want)
+			}
+			if n := s.mgr.met.jobsColdRun.Value(); n != 1 {
+				t.Fatalf("cold reruns = %d, want 1 (the rejected checkpoint)", n)
+			}
+		})
 	}
 }
 

@@ -19,45 +19,28 @@ import (
 
 	"ximd/internal/core"
 	"ximd/internal/isa"
-	"ximd/internal/vliw"
 )
 
-// ximdPools and vliwPools hold retired machines, indexed by the
-// functional-unit count they were last bound to (the config shape).
-var (
-	ximdPools [isa.NumFU + 1]sync.Pool
-	vliwPools [isa.NumFU + 1]sync.Pool
-)
+// pools holds retired machines, indexed by the functional-unit count
+// they were last bound to (the config shape). XIMD and lockstep (VLIW)
+// machines share them: the mode comes with the decoded table at Reset.
+var pools [isa.NumFU + 1]sync.Pool
 
-// acquireXIMD returns a machine bound to prog and cfg, recycling a
-// pooled machine of the same shape when one is available.
-func acquireXIMD(prog *isa.Program, cfg core.Config) (*core.Machine, error) {
-	if v := ximdPools[prog.NumFU].Get(); v != nil {
+// acquire returns a machine bound to cfg (whose Decoded table carries
+// the program), recycling a pooled machine of the same shape when one
+// is available.
+func acquire(cfg core.Config) (*core.Machine, error) {
+	if v := pools[cfg.Decoded.Program().NumFU].Get(); v != nil {
 		m := v.(*core.Machine)
-		if err := m.Reset(prog, cfg); err != nil {
+		if err := m.Reset(nil, cfg); err != nil {
 			return nil, err // half-bound machine: discard, never pool
 		}
 		return m, nil
 	}
-	return core.New(prog, cfg)
+	return core.New(nil, cfg)
 }
 
-// releaseXIMD returns a successfully-run machine to its shape's pool.
+// release returns a successfully-run machine to its shape's pool.
 // Callers must not touch the machine (or anything borrowed from it,
 // like Regs) afterwards.
-func releaseXIMD(numFU int, m *core.Machine) { ximdPools[numFU].Put(m) }
-
-// acquireVLIW is the VLIW counterpart of acquireXIMD.
-func acquireVLIW(prog *vliw.Program, cfg vliw.Config) (*vliw.Machine, error) {
-	if v := vliwPools[prog.NumFU].Get(); v != nil {
-		m := v.(*vliw.Machine)
-		if err := m.Reset(prog, cfg); err != nil {
-			return nil, err
-		}
-		return m, nil
-	}
-	return vliw.New(prog, cfg)
-}
-
-// releaseVLIW returns a successfully-run machine to its shape's pool.
-func releaseVLIW(numFU int, m *vliw.Machine) { vliwPools[numFU].Put(m) }
+func release(m *core.Machine) { pools[m.NumFU()].Put(m) }

@@ -91,7 +91,7 @@ func TestPooledAcquireAllocs(t *testing.T) {
 	cfg := core.Config{Memory: memory, Decoded: decoded}
 
 	cycle := func() {
-		m, err := acquireXIMD(prog, cfg)
+		m, err := acquire(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestPooledAcquireAllocs(t *testing.T) {
 		if got := m.Regs().Peek(3).Int(); got != 72 {
 			t.Fatalf("r3 = %d, want 72", got)
 		}
-		releaseXIMD(prog.NumFU, m)
+		release(m)
 	}
 	cycle() // seed the pool for this shape
 	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {

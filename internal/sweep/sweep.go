@@ -304,56 +304,36 @@ func XIMD(inst *workloads.Instance) Task {
 	// the task shares the immutable decode table, so per-task work is
 	// just a machine rebind plus the simulation itself.
 	var decoded *core.Decoded
-	var decodeErr error
+	var err error
 	if inst.XIMD != nil {
-		decoded, decodeErr = core.Predecode(inst.XIMD)
+		decoded, err = core.Predecode(inst.XIMD)
 	}
-	return Task{Name: inst.Name, Run: func(context.Context) (Outcome, error) {
-		if inst.XIMD == nil {
-			return Outcome{}, fmt.Errorf("workload %s has no XIMD variant", inst.Name)
-		}
-		if decodeErr != nil {
-			return Outcome{}, fmt.Errorf("%s: %w", inst.Name, decodeErr)
-		}
-		env := inst.NewEnv()
-		m, err := acquireXIMD(inst.XIMD, core.Config{Memory: env.Mem, Decoded: decoded})
-		if err != nil {
-			return Outcome{}, fmt.Errorf("%s: %w", inst.Name, err)
-		}
-		for r, v := range inst.Regs {
-			m.Regs().Poke(r, v)
-		}
-		if _, err := m.Run(); err != nil {
-			return Outcome{}, fmt.Errorf("%s: %w", inst.Name, err)
-		}
-		if env.Check != nil {
-			if err := env.Check(m.Regs()); err != nil {
-				return Outcome{}, fmt.Errorf("%s: result check: %w", inst.Name, err)
-			}
-		}
-		out := Outcome{Cycles: m.Cycle(), Stats: m.Stats()}
-		releaseXIMD(inst.XIMD.NumFU, m)
-		return out, nil
-	}}
+	return machineTask(inst, "XIMD", decoded, err)
 }
 
 // VLIW adapts a workload instance's VLIW variant into a Task, with the
 // same pooled-machine lifecycle as XIMD.
 func VLIW(inst *workloads.Instance) Task {
-	var decoded *vliw.Decoded
-	var decodeErr error
+	var decoded *core.Decoded
+	var err error
 	if inst.VLIW != nil {
-		decoded, decodeErr = vliw.Predecode(inst.VLIW)
+		decoded, err = vliw.Predecode(inst.VLIW)
 	}
+	return machineTask(inst, "VLIW", decoded, err)
+}
+
+// machineTask is the Task body of XIMD and VLIW: decoded is the
+// variant's table, nil (with decodeErr nil) when the instance lacks it.
+func machineTask(inst *workloads.Instance, variant string, decoded *core.Decoded, decodeErr error) Task {
 	return Task{Name: inst.Name, Run: func(context.Context) (Outcome, error) {
-		if inst.VLIW == nil {
-			return Outcome{}, fmt.Errorf("workload %s has no VLIW variant", inst.Name)
-		}
 		if decodeErr != nil {
 			return Outcome{}, fmt.Errorf("%s: %w", inst.Name, decodeErr)
 		}
+		if decoded == nil {
+			return Outcome{}, fmt.Errorf("workload %s has no %s variant", inst.Name, variant)
+		}
 		env := inst.NewEnv()
-		m, err := acquireVLIW(inst.VLIW, vliw.Config{Memory: env.Mem, Decoded: decoded})
+		m, err := acquire(core.Config{Memory: env.Mem, Decoded: decoded})
 		if err != nil {
 			return Outcome{}, fmt.Errorf("%s: %w", inst.Name, err)
 		}
@@ -369,7 +349,7 @@ func VLIW(inst *workloads.Instance) Task {
 			}
 		}
 		out := Outcome{Cycles: m.Cycle(), Stats: m.Stats()}
-		releaseVLIW(inst.VLIW.NumFU, m)
+		release(m)
 		return out, nil
 	}}
 }

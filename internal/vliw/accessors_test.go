@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"ximd/internal/core"
 	"ximd/internal/isa"
 )
 
@@ -17,7 +18,7 @@ func TestAccessorsAndValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Done() || m.Cycle() != 0 || m.PC() != 0 {
+	if m.Done() || m.Cycle() != 0 || m.PC(0) != 0 {
 		t.Fatal("fresh machine state wrong")
 	}
 	if m.Memory() == nil {
@@ -35,7 +36,7 @@ func TestAccessorsAndValidation(t *testing.T) {
 		t.Fatalf("Step after done: %v %v", running, err)
 	}
 	// Zero-cycle stats are well-defined.
-	var s Stats
+	var s core.Stats
 	if s.Utilization() != 0 || s.OpsPerCycle() != 0 {
 		t.Fatal("zero stats not zero")
 	}

@@ -50,7 +50,7 @@ func TestVLIWBatchMatchesSequential(t *testing.T) {
 		bms[i], bmems[i] = buildVLIWDiffMachine(t, progs[i], cfgs[i])
 	}
 
-	b := NewBatch(bms)
+	b := core.NewBatch(bms)
 	for rounds := 0; b.StepRound(17) > 0; rounds++ {
 		if rounds > 300 {
 			t.Fatal("batch did not converge")
@@ -84,7 +84,7 @@ func TestVLIWBatchStepRoundAllocs(t *testing.T) {
 		}
 		ms[i] = m
 	}
-	b := NewBatch(ms)
+	b := core.NewBatch(ms)
 	b.StepRound(128)
 	avg := testing.AllocsPerRun(256, func() {
 		if b.StepRound(64) != batchSize {
@@ -124,7 +124,7 @@ func TestVLIWResetMatchesNew(t *testing.T) {
 				t.Fatalf("iter %d: New: %v", iter, err)
 			}
 			pooled = m
-		} else if err := pooled.Reset(p, pcfg); err != nil {
+		} else if err := pooled.Reset(nil, withDecoded(t, p, pcfg)); err != nil {
 			t.Fatalf("iter %d: Reset: %v", iter, err)
 		}
 		for i := uint8(0); i < 12; i++ {

@@ -142,7 +142,7 @@ func TestVLIWResetAfterRestoreLeavesNoResidue(t *testing.T) {
 		for a := uint32(0); a < 1024; a++ {
 			memB.Poke(a, isa.WordFromInt(int32(a)*5-900))
 		}
-		if err := dirty.Reset(progB, Config{Engine: core.EngineFast, Memory: memB}); err != nil {
+		if err := dirty.Reset(nil, Config{Engine: core.EngineFast, Memory: memB, Decoded: mustPredecode(t, progB)}); err != nil {
 			t.Fatalf("prog %d: reset: %v", i, err)
 		}
 		for reg := uint8(0); reg < 12; reg++ {

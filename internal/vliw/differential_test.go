@@ -2,6 +2,7 @@ package vliw
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ximd/internal/core"
@@ -9,11 +10,12 @@ import (
 	"ximd/internal/mem"
 )
 
-// Differential fuzzing: random VLIW programs executed natively and as
-// XIMD emulations (control duplicated per parcel, Section 3.1) must agree
-// on every architectural outcome — cycle count, all 256 registers, and
-// memory. Programs use only forward branches, so they terminate by
-// construction.
+// Differential fuzzing: random VLIW programs executed on the lockstep
+// machine and as XIMD emulations (control duplicated per parcel,
+// Section 3.1) must agree on every architectural outcome — cycle count,
+// all 256 registers, memory, and the statistics, except that the XIMD
+// evaluates a word's conditional branch once per FU. Programs use only
+// forward branches, so they terminate by construction.
 
 func randomVLIWProgram(r *rand.Rand) *Program {
 	numFU := 1 + r.Intn(isa.NumFU)
@@ -122,6 +124,16 @@ func TestDifferentialVLIWvsXIMD(t *testing.T) {
 		}
 		if vCycles != xCycles {
 			t.Fatalf("iter %d: cycles %d vs %d", iter, vCycles, xCycles)
+		}
+		vs, xs := vm.Stats(), xm.Stats()
+		fus := uint64(p.NumFU)
+		if xs.CondBranches != vs.CondBranches*fus || xs.TakenBranches != vs.TakenBranches*fus {
+			t.Fatalf("iter %d: branches vliw %d/%d, ximd %d/%d; want ximd = %d × vliw",
+				iter, vs.TakenBranches, vs.CondBranches, xs.TakenBranches, xs.CondBranches, fus)
+		}
+		xs.CondBranches, xs.TakenBranches = vs.CondBranches, vs.TakenBranches
+		if !reflect.DeepEqual(vs, xs) {
+			t.Fatalf("iter %d: stats diverge:\nvliw: %+v\nximd: %+v", iter, vs, xs)
 		}
 		for reg := 0; reg < isa.NumRegs; reg++ {
 			if vm.Regs().Peek(uint8(reg)) != xm.Regs().Peek(uint8(reg)) {

@@ -10,17 +10,20 @@ import (
 	"ximd/internal/mem"
 )
 
-// Differential testing of the VLIW fast engine against the reference
-// interpreter, mirroring the core package's engine equivalence net:
-// random programs must produce identical cycle counts, statistics,
-// traces, registers, and memory on both engines.
+// Differential testing of the lockstep machine's fast engine against
+// its reference interpreter, mirroring the core package's engine
+// equivalence net: random programs must produce identical cycle counts,
+// statistics, traces, registers, and memory on both engines.
 
-// vliwCapture retains a deep copy of every VLIW cycle record.
-type vliwCapture struct{ recs []CycleRecord }
+// vliwCapture retains a deep copy of every lockstep cycle record.
+type vliwCapture struct{ recs []core.CycleRecord }
 
-func (c *vliwCapture) Cycle(rec *CycleRecord) {
+func (c *vliwCapture) Cycle(rec *core.CycleRecord) {
 	cp := *rec
+	cp.PC = append([]isa.Addr(nil), rec.PC...)
 	cp.CC = append([]bool(nil), rec.CC...)
+	cp.Parcels = append([]isa.Parcel(nil), rec.Parcels...)
+	cp.Stalled = append([]bool(nil), rec.Stalled...)
 	c.recs = append(c.recs, cp)
 }
 
@@ -64,9 +67,9 @@ func TestDifferentialVLIWFastVsReference(t *testing.T) {
 		if errText(ferr) != errText(rerr) {
 			t.Fatalf("iter %d: error divergence:\nfast: %s\nref:  %s", iter, errText(ferr), errText(rerr))
 		}
-		if fm.Done() != rm.Done() || fm.PC() != rm.PC() {
+		if fm.Done() != rm.Done() || fm.PC(0) != rm.PC(0) {
 			t.Fatalf("iter %d: sequencer divergence: fast done=%v pc=%d, reference done=%v pc=%d",
-				iter, fm.Done(), fm.PC(), rm.Done(), rm.PC())
+				iter, fm.Done(), fm.PC(0), rm.Done(), rm.PC(0))
 		}
 		if !reflect.DeepEqual(fm.Stats(), rm.Stats()) {
 			t.Fatalf("iter %d: stats divergence:\nfast: %+v\nref:  %+v", iter, fm.Stats(), rm.Stats())

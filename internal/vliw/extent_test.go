@@ -67,8 +67,8 @@ func TestVLIWFusedMemoryExtent(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if engine == core.EngineFast && !noFuse && m.fuse.runLen[0] != 2 {
-					t.Fatalf("program is not one fused run: runLen = %d", m.fuse.runLen[0])
+				if d, err := Predecode(p); err != nil || d.FusibleWords() != 2 {
+					t.Fatalf("program is not one fused run: %v", err)
 				}
 				cycles, err := m.Run()
 				o := outcome{cycles: cycles, err: fmt.Sprint(err), stats: m.Stats(), backed: len(memory.Raw())}

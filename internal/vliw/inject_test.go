@@ -142,7 +142,8 @@ func TestVLIWWholeWordStall(t *testing.T) {
 		Latency: inject.LatencyModel{Kind: inject.LatencyFixed, Fixed: k},
 	})
 	for _, engine := range []core.EngineKind{core.EngineFast, core.EngineReference} {
-		m, err := New(loopProgram(), Config{Engine: engine, Memory: mem.NewShared(1024), MaxCycles: 1000, Inject: inj})
+		tr := &vliwCapture{}
+		m, err := New(loopProgram(), Config{Engine: engine, Memory: mem.NewShared(1024), MaxCycles: 1000, Inject: inj, Tracer: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +151,33 @@ func TestVLIWWholeWordStall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The trace keeps the VLIW shape: one PC, and on a stall cycle
+		// no word and every FU stalled.
+		var stalled uint64
+		for _, rec := range tr.recs {
+			if len(rec.PC) != 1 {
+				t.Fatalf("engine %d: cycle %d traced %d PCs", engine, rec.Cycle, len(rec.PC))
+			}
+			if rec.Stalled == nil {
+				if len(rec.Parcels) != 4 {
+					t.Fatalf("engine %d: cycle %d traced %d parcels, want the 4-FU word", engine, rec.Cycle, len(rec.Parcels))
+				}
+				continue
+			}
+			stalled++
+			if rec.Parcels != nil || len(rec.Stalled) != 4 {
+				t.Fatalf("engine %d: stall cycle %d record %+v", engine, rec.Cycle, rec)
+			}
+			for fu, s := range rec.Stalled {
+				if !s {
+					t.Fatalf("engine %d: stall cycle %d: FU%d not stalled", engine, rec.Cycle, fu)
+				}
+			}
+		}
 		loads := m.Stats().Loads
+		if stalled != uint64(k)*loads {
+			t.Fatalf("engine %d: %d stall cycles traced, want %d", engine, stalled, uint64(k)*loads)
+		}
 		want := baseCycles + uint64(k)*loads
 		if cycles != want {
 			t.Fatalf("engine %d: %d cycles with %d loads at +%d, want %d (base %d)",

@@ -1,21 +1,26 @@
-// Package vliw implements the paper's VLIW baseline — the companion
-// simulator the authors call vsim (Section 4.1): "a VLIW processor with
-// similar characteristics" to XIMD-1. The datapath is identical (the same
+// Package vliw is the paper's VLIW baseline — the companion simulator
+// the authors call vsim (Section 4.1): "a VLIW processor with similar
+// characteristics" to XIMD-1. The datapath is identical (the same
 // functional units, global register file, condition codes, and idealized
 // memory); the control path is the single global sequencer of Figure 4.
 // Each instruction carries one data operation per functional unit and
 // exactly one control operation, so only one branch can execute per cycle
 // — the limitation Section 1.3 identifies and XIMD removes.
+//
+// The machine itself is core.Machine in lockstep mode: Section 3.1's
+// recipe (ToXIMD copies the control operation into every parcel) turns
+// a VLIW program into an XIMD one, and PredecodeLockstep marks its
+// decoded table so the machine runs it under one sequencer. This
+// package holds the VLIW program form, its validation and conversions,
+// the constructors, and the VLIW checkpoint wire layout.
 package vliw
 
 import (
+	"errors"
 	"fmt"
 
 	"ximd/internal/core"
-	"ximd/internal/inject"
 	"ximd/internal/isa"
-	"ximd/internal/mem"
-	"ximd/internal/regfile"
 )
 
 // Instruction is one very long instruction word of the VLIW baseline: one
@@ -134,501 +139,40 @@ func (p *Program) ToXIMD() *isa.Program {
 	return out
 }
 
-// Config parameterizes a VLIW machine.
-type Config struct {
-	// Engine selects the execution engine (shared with the XIMD core);
-	// the zero value is core.EngineFast, which pre-decodes the program at
-	// New. core.EngineReference interprets instructions directly.
-	Engine core.EngineKind
-	// Memory is the memory model; nil selects the default shared memory.
-	Memory mem.Memory
-	// MaxCycles bounds the simulation; 0 selects the default.
-	MaxCycles uint64
-	// TolerateConflicts tolerates same-cycle write conflicts.
-	TolerateConflicts bool
-	// DisableFusion turns off fused superop execution (fastrun.go) on
-	// the fast engine: StepN then takes the per-cycle path for every
-	// cycle. The observable outcome of a run is identical either way —
-	// the differential tests enforce it — so this is a debugging and
-	// testing lever, not a semantic switch.
-	DisableFusion bool
-	// Inject, if non-nil and enabled, perturbs the datapath with the same
-	// seeded campaign the XIMD core accepts. The single sequencer makes
-	// the consequences architecture-defining: an injected load latency
-	// stalls the whole instruction word, and a hard FU failure is an
-	// immediate terminal error (wrapping core.ErrFUFailed), because every
-	// word needs every FU — the paper's Section 1.3 limitation.
-	Inject *inject.Injector
-	// Decoded, if non-nil, supplies the program's pre-built decoded
-	// instruction table (Predecode). New then skips re-validating and
-	// re-decoding the program. The table must have been built from the
-	// same *Program passed to New.
-	Decoded *Decoded
-	// Tracer, if non-nil, observes each cycle.
-	Tracer Tracer
-}
+// Config parameterizes a VLIW machine: the core machine's settings.
+// Config.Decoded, if set, must come from Predecode.
+type Config = core.Config
 
-// DefaultMaxCycles bounds a simulation when Config.MaxCycles is zero.
-const DefaultMaxCycles = 50_000_000
+// Machine is a VLIW processor instance: a core.Machine in lockstep mode.
+// Its PC(fu) is the one sequencer's for every fu.
+type Machine = core.Machine
 
-// Tracer observes VLIW execution. Slices in the record are reused;
-// implementations must copy retained data.
-type Tracer interface {
-	Cycle(rec *CycleRecord)
-}
-
-// CycleRecord is one executed VLIW cycle.
-type CycleRecord struct {
-	Cycle uint64
-	PC    isa.Addr
-	CC    []bool
-	Instr Instruction
-	// Stalled marks a cycle the whole machine spent waiting on an
-	// in-flight load (injected memory latency); Instr is zero then.
-	Stalled bool
-}
-
-// Stats is the shared execution-statistics type of core.Stats: the VLIW
-// baseline is the same datapath, so it accumulates the same counters
-// (HaltedCycles stays zero — the single sequencer halts all FUs at once
-// — and StreamHistogram is all mass at k=1, the defining contrast with
-// the XIMD's variable stream count).
-type Stats = core.Stats
-
-// Machine is a VLIW processor instance.
-type Machine struct {
-	prog   *Program
-	numFU  int
-	config Config
-	regs   *regfile.File
-	memory mem.Memory
-
-	pc      isa.Addr
-	cc      []bool
-	cycle   uint64
-	done    bool
-	failure error // terminal error latched by the first failing Step
-	stats   Stats
-	ccWrite []ccWrite
-	record  CycleRecord
-
-	// Fast-engine state (nil / unused under core.EngineReference). ccBits
-	// packs the condition codes one bit per FU; the cc slice is
-	// materialized from it only for tracing.
-	code   []vop
-	shared *mem.Shared
-	ccBits uint8
-	fuse   *vfuseInfo
-	fuseOK bool // static preconditions for fused superop runs hold
-
-	// Injection state (nil / zero unless Config.Inject is enabled).
-	// stall counts the remaining cycles the whole machine spends waiting
-	// on the slowest in-flight load of the last instruction word.
-	inject    *inject.Injector
-	stall     uint32
-	wordStall uint32 // slowest injected load latency of the current word
-}
-
-// vop is one pre-decoded very long instruction word: the decoded data
-// operation per FU plus the compiled sequencer operation, built once at
-// New by the fast engine (the same decode layer as the XIMD core).
-type vop struct {
-	ops    [isa.NumFU]core.DecodedOp
-	cond   core.CompiledCond
-	t1, t2 isa.Addr
-	kind   isa.CtrlKind
-}
-
-// decodeVLIW builds the flat decoded-instruction table for a validated
-// program.
-func decodeVLIW(p *Program) []vop {
-	code := make([]vop, len(p.Instrs))
-	for addr := range p.Instrs {
-		in := &p.Instrs[addr]
-		u := &code[addr]
-		for fu := 0; fu < p.NumFU; fu++ {
-			u.ops[fu] = core.DecodeDataOp(in.Ops[fu])
-		}
-		u.kind = in.Ctrl.Kind
-		u.t1, u.t2 = in.Ctrl.T1, in.Ctrl.T2
-		if in.Ctrl.Kind == isa.CtrlCond {
-			u.cond = core.CompileCond(in.Ctrl, p.NumFU)
-		}
-	}
-	return code
-}
-
-type ccWrite struct {
-	fu  int
-	val bool
-}
-
-// New creates a VLIW machine loaded with prog.
-func New(prog *Program, cfg Config) (*Machine, error) {
-	m := &Machine{}
-	if err := m.bind(prog, cfg); err != nil {
+// Predecode validates prog and builds its lockstep decoded table (the
+// core micro-op and superop fusion tables of prog.ToXIMD()). Machines
+// built with Config.Decoded skip both steps — the ximdd
+// decoded-program cache's hit path.
+func Predecode(prog *Program) (*core.Decoded, error) {
+	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
-	return m, nil
+	return core.PredecodeLockstep(prog.ToXIMD())
 }
 
-// Reset rebinds the machine to a fresh run of prog under cfg, exactly
-// as if it had just been built by New, but reusing the register file,
-// statistics, and scratch allocations of the previous run — the
-// machine-pooling hook (see core.Machine.Reset). On error the machine
-// is left unusable and must be discarded, not pooled.
-func (m *Machine) Reset(prog *Program, cfg Config) error {
-	return m.bind(prog, cfg)
-}
-
-// bind is the shared initialization of New and Reset.
-func (m *Machine) bind(prog *Program, cfg Config) error {
-	if cfg.Decoded != nil {
-		if prog == nil {
-			prog = cfg.Decoded.prog
-		} else if prog != cfg.Decoded.prog {
-			return errDecodedMismatch()
+// New creates a VLIW machine loaded with prog. With Config.Decoded set,
+// prog may be nil; a prog passed as well must be the one the table was
+// built from (New checks only its shape).
+func New(prog *Program, cfg Config) (*Machine, error) {
+	d := cfg.Decoded
+	switch {
+	case d == nil:
+		var err error
+		if cfg.Decoded, err = Predecode(prog); err != nil {
+			return nil, err
 		}
-	} else if err := prog.Validate(); err != nil {
-		return err
+	case !d.Lockstep():
+		return nil, errors.New("vliw: Config.Decoded was not built by vliw.Predecode")
+	case prog != nil && (prog.NumFU != d.Program().NumFU || len(prog.Instrs) != d.Program().Len()):
+		return nil, errors.New("vliw: Config.Decoded was built from a different program")
 	}
-	if cfg.Memory == nil {
-		cfg.Memory = mem.NewShared(0)
-	}
-	if cfg.MaxCycles == 0 {
-		cfg.MaxCycles = DefaultMaxCycles
-	}
-	n := prog.NumFU
-	m.prog = prog
-	m.numFU = n
-	m.config = cfg
-	if m.regs == nil {
-		m.regs = regfile.New()
-	} else {
-		m.regs.Reset()
-	}
-	m.memory = cfg.Memory
-	m.pc = prog.Entry
-	if cap(m.cc) < n {
-		m.cc = make([]bool, n)
-	} else {
-		m.cc = m.cc[:n]
-		for i := range m.cc {
-			m.cc[i] = false
-		}
-	}
-	m.cycle = 0
-	m.done = false
-	m.failure = nil
-	m.stats.Reset(n)
-	m.ccWrite = m.ccWrite[:0]
-	m.record = CycleRecord{}
-
-	m.inject = nil
-	m.stall, m.wordStall = 0, 0
-	if cfg.Inject.Enabled() {
-		m.inject = cfg.Inject
-	}
-
-	m.code = nil
-	m.shared = nil
-	m.ccBits = 0
-	m.fuse = nil
-	m.fuseOK = false
-	if cfg.Engine == core.EngineFast {
-		if cfg.Decoded != nil {
-			m.code = cfg.Decoded.code
-			m.fuse = cfg.Decoded.fuse
-		} else {
-			m.code = decodeVLIW(prog)
-			m.fuse = fuseVLIW(prog, m.code)
-		}
-		if sh, ok := cfg.Memory.(*mem.Shared); ok {
-			m.shared = sh
-		}
-		m.fuseOK = m.fuse != nil && !cfg.DisableFusion &&
-			m.inject == nil && cfg.Tracer == nil && m.shared != nil
-	}
-	return nil
-}
-
-// Regs exposes the register file.
-func (m *Machine) Regs() *regfile.File { return m.regs }
-
-// Memory exposes the memory model.
-func (m *Machine) Memory() mem.Memory { return m.memory }
-
-// Cycle returns the executed cycle count.
-func (m *Machine) Cycle() uint64 { return m.cycle }
-
-// Done reports whether the machine has halted.
-func (m *Machine) Done() bool { return m.done }
-
-// PC returns the single global program counter.
-func (m *Machine) PC() isa.Addr { return m.pc }
-
-// Stats returns a deep-copied snapshot of the accumulated statistics;
-// it stays valid across further Step calls and is safe to hand to other
-// goroutines.
-func (m *Machine) Stats() Stats { return m.stats.Clone() }
-
-// Err returns the terminal error latched by a failed Step, or nil.
-func (m *Machine) Err() error { return m.failure }
-
-// fail latches err so every subsequent Step or Run returns the same
-// error instead of resuming execution past the failure point.
-func (m *Machine) fail(err error) error {
-	m.failure = err
-	return err
-}
-
-// Error construction shared by the fast and reference engines so the
-// text stays byte-identical. The sentinels are the core package's:
-// the VLIW baseline shares the XIMD's error taxonomy.
-
-func (m *Machine) errMaxCycles() error {
-	return fmt.Errorf("vliw: cycle %d: %w", m.cycle, core.ErrMaxCycles)
-}
-
-func (m *Machine) errFUFailure(fu int) error {
-	return fmt.Errorf("vliw: cycle %d, FU%d: %w", m.cycle, fu, core.ErrFUFailed)
-}
-
-func errRegPortDrop() error {
-	return fmt.Errorf("register read ports dropped: %w", core.ErrTransient)
-}
-
-func errMemNAK(addr uint32) error {
-	return fmt.Errorf("memory access to address %d not acknowledged: %w", addr, core.ErrTransient)
-}
-
-// stallCycle burns one whole-machine stall cycle: the single sequencer
-// is waiting out an injected load latency, so no FU executes and no
-// register or memory activity occurs. Every FU pays a stall cycle —
-// the architectural contrast with the XIMD, where only the issuing
-// FU's stream stalls.
-func (m *Machine) stallCycle() {
-	if m.config.Tracer != nil {
-		if m.code != nil {
-			for fu := 0; fu < m.numFU; fu++ {
-				m.cc[fu] = m.ccBits&(uint8(1)<<fu) != 0
-			}
-		}
-		m.record = CycleRecord{Cycle: m.cycle, PC: m.pc, CC: m.cc, Stalled: true}
-		m.config.Tracer.Cycle(&m.record)
-	}
-	m.stats.Cycles++
-	m.stats.StreamHistogram[1]++
-	for fu := 0; fu < m.numFU; fu++ {
-		m.stats.StallCycles[fu]++
-	}
-	m.stall--
-	m.cycle++
-}
-
-// injectPreCycle runs the cycle-top injection checks common to both
-// engines: a due hard FU failure is an immediate terminal error (every
-// instruction word needs every FU), and a pending whole-word stall
-// consumes the cycle. It reports whether the cycle was consumed and, if
-// so, the Step result to return.
-func (m *Machine) injectPreCycle() (consumed bool, running bool, err error) {
-	if fu, ok := m.inject.FirstFailure(m.cycle); ok {
-		return true, false, m.fail(m.errFUFailure(fu))
-	}
-	if m.stall > 0 {
-		m.stallCycle()
-		return true, true, nil
-	}
-	m.wordStall = 0
-	return false, false, nil
-}
-
-// Step executes one cycle. After any error the machine is dead:
-// subsequent Step calls return the same error rather than executing
-// past the failure.
-func (m *Machine) Step() (running bool, err error) {
-	if m.code != nil {
-		return m.stepFast()
-	}
-	if m.failure != nil {
-		return false, m.failure
-	}
-	if m.done {
-		return false, nil
-	}
-	if m.cycle >= m.config.MaxCycles {
-		return false, m.fail(m.errMaxCycles())
-	}
-	if m.inject != nil {
-		if consumed, running, err := m.injectPreCycle(); consumed {
-			return running, err
-		}
-	}
-	in := m.prog.Instrs[m.pc]
-
-	m.regs.BeginCycle()
-	m.memory.BeginCycle(m.cycle)
-	m.ccWrite = m.ccWrite[:0]
-
-	if m.config.Tracer != nil {
-		m.record = CycleRecord{Cycle: m.cycle, PC: m.pc, CC: m.cc, Instr: in}
-		m.config.Tracer.Cycle(&m.record)
-	}
-
-	for fu := 0; fu < m.numFU; fu++ {
-		if err := m.execData(fu, in.Ops[fu]); err != nil {
-			return false, m.fail(err)
-		}
-	}
-
-	halt := false
-	var next isa.Addr
-	switch in.Ctrl.Kind {
-	case isa.CtrlGoto:
-		next = in.Ctrl.T1
-	case isa.CtrlHalt:
-		halt = true
-	case isa.CtrlCond:
-		m.stats.CondBranches++
-		if isa.EvalCond(in.Ctrl, m.cc, nil, m.numFU) {
-			m.stats.TakenBranches++
-			next = in.Ctrl.T1
-		} else {
-			next = in.Ctrl.T2
-		}
-	}
-
-	m.regs.Commit()
-	m.memory.Commit()
-	for _, w := range m.ccWrite {
-		m.cc[w.fu] = w.val
-	}
-	m.stats.Cycles++
-	m.stats.StreamHistogram[1]++ // a VLIW always runs exactly one stream
-	// Per-FU op attribution happens here, at commit, not during execData:
-	// a cycle that faults mid-word contributes no partial counts, so
-	// every counted cycle attributes all NumFU FU-cycles (the profiler's
-	// attribution invariant, shared with the XIMD core).
-	for fu := 0; fu < m.numFU; fu++ {
-		if in.Ops[fu].Op == isa.OpNop {
-			m.stats.Nops[fu]++
-		} else {
-			m.stats.DataOps[fu]++
-		}
-	}
-	m.cycle++
-	if m.inject != nil {
-		m.stall = m.wordStall
-	}
-	if halt {
-		m.done = true
-		return false, nil
-	}
-	m.pc = next
-	return true, nil
-}
-
-func (m *Machine) execData(fu int, d isa.DataOp) error {
-	cl := isa.ClassOf(d.Op)
-	if d.Op == isa.OpNop {
-		return nil
-	}
-	if m.inject != nil &&
-		(cl.ReadsA() && d.A.Kind != isa.Imm || cl.ReadsB() && d.B.Kind != isa.Imm) &&
-		m.inject.DropRegPort(m.cycle, fu) {
-		return fmt.Errorf("vliw: cycle %d, FU%d: %w", m.cycle, fu, errRegPortDrop())
-	}
-	var a, b isa.Word
-	var err error
-	if cl.ReadsA() {
-		if a, err = m.readOperand(fu, d.A); err != nil {
-			return fmt.Errorf("vliw: cycle %d, FU%d: %w", m.cycle, fu, err)
-		}
-	}
-	if cl.ReadsB() {
-		if b, err = m.readOperand(fu, d.B); err != nil {
-			return fmt.Errorf("vliw: cycle %d, FU%d: %w", m.cycle, fu, err)
-		}
-	}
-	switch d.Op {
-	case isa.OpLoad:
-		m.stats.Loads++
-		addr := uint32(a.Int() + b.Int())
-		if m.inject != nil && m.inject.MemNAK(m.cycle, fu, addr) {
-			return fmt.Errorf("vliw: cycle %d, FU%d: %w", m.cycle, fu, errMemNAK(addr))
-		}
-		v, err := m.memory.Load(fu, addr)
-		if err != nil {
-			return fmt.Errorf("vliw: cycle %d, FU%d: %w", m.cycle, fu, err)
-		}
-		if m.inject != nil {
-			if mask := m.inject.FlipMask(m.cycle, fu, addr); mask != 0 {
-				v ^= isa.Word(mask)
-				m.stats.BitFlips++
-			}
-			if k := m.inject.LoadLatency(m.cycle, fu, addr); k > m.wordStall {
-				m.wordStall = k
-			}
-		}
-		return m.writeReg(fu, d.Dest, v)
-	case isa.OpStore:
-		m.stats.Stores++
-		if m.inject != nil && m.inject.MemNAK(m.cycle, fu, uint32(b.Int())) {
-			return fmt.Errorf("vliw: cycle %d, FU%d: %w", m.cycle, fu, errMemNAK(uint32(b.Int())))
-		}
-		if err := m.memory.Store(fu, uint32(b.Int()), a); err != nil {
-			if _, ok := err.(*mem.ConflictError); ok && m.config.TolerateConflicts {
-				m.stats.MemConflicts++
-				return nil
-			}
-			return fmt.Errorf("vliw: cycle %d, FU%d: %w", m.cycle, fu, err)
-		}
-		return nil
-	default:
-		res, cc, err := isa.EvalALU(d.Op, a, b)
-		if err != nil {
-			return fmt.Errorf("vliw: cycle %d, FU%d: %w", m.cycle, fu, err)
-		}
-		if cl.WritesCC() {
-			m.ccWrite = append(m.ccWrite, ccWrite{fu: fu, val: cc})
-			return nil
-		}
-		if cl.WritesReg() {
-			return m.writeReg(fu, d.Dest, res)
-		}
-		return nil
-	}
-}
-
-func (m *Machine) readOperand(fu int, o isa.Operand) (isa.Word, error) {
-	if o.Kind == isa.Imm {
-		return o.Imm, nil
-	}
-	return m.regs.Read(fu, o.Reg)
-}
-
-func (m *Machine) writeReg(fu int, reg uint8, v isa.Word) error {
-	if err := m.regs.Write(fu, reg, v); err != nil {
-		if _, ok := err.(*regfile.WriteConflictError); ok && m.config.TolerateConflicts {
-			m.stats.RegConflicts++
-			m.stats.PortConflicts[fu]++
-			return nil
-		}
-		return fmt.Errorf("vliw: cycle %d, FU%d: %w", m.cycle, fu, err)
-	}
-	return nil
-}
-
-// Run executes until halt or error, returning total cycles. It steps in
-// bulk through StepN, so fused superop runs engage wherever eligible.
-func (m *Machine) Run() (uint64, error) {
-	for {
-		running, err := m.StepN(1 << 62)
-		if err != nil {
-			return m.cycle, err
-		}
-		if !running {
-			return m.cycle, nil
-		}
-	}
+	return core.New(nil, cfg)
 }

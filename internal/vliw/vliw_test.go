@@ -19,6 +19,24 @@ func vprog(t *testing.T, numFU int, rows []Instruction) *Program {
 	return p
 }
 
+// mustPredecode builds p's lockstep table, for rebinding a pooled
+// machine through core.Machine.Reset.
+func mustPredecode(t *testing.T, p *Program) *core.Decoded {
+	t.Helper()
+	d, err := Predecode(p)
+	if err != nil {
+		t.Fatalf("Predecode: %v", err)
+	}
+	return d
+}
+
+// withDecoded returns cfg carrying p's lockstep table.
+func withDecoded(t *testing.T, p *Program, cfg Config) Config {
+	t.Helper()
+	cfg.Decoded = mustPredecode(t, p)
+	return cfg
+}
+
 func row(ctrl isa.CtrlOp, ops ...isa.DataOp) Instruction {
 	var in Instruction
 	copy(in.Ops[:], ops)
@@ -221,7 +239,13 @@ func TestVLIWMaxCycles(t *testing.T) {
 
 func TestVLIWTracer(t *testing.T) {
 	var pcs []isa.Addr
-	tr := tracerFunc(func(rec *CycleRecord) { pcs = append(pcs, rec.PC) })
+	tr := tracerFunc(func(rec *core.CycleRecord) {
+		if len(rec.PC) != 1 {
+			t.Errorf("cycle %d traced %d PCs, want the one sequencer's", rec.Cycle, len(rec.PC))
+			return
+		}
+		pcs = append(pcs, rec.PC[0])
+	})
 	p := vprog(t, 1, []Instruction{
 		row(isa.Goto(1)),
 		row(isa.Goto(2)),
@@ -239,9 +263,9 @@ func TestVLIWTracer(t *testing.T) {
 	}
 }
 
-type tracerFunc func(rec *CycleRecord)
+type tracerFunc func(rec *core.CycleRecord)
 
-func (f tracerFunc) Cycle(rec *CycleRecord) { f(rec) }
+func (f tracerFunc) Cycle(rec *core.CycleRecord) { f(rec) }
 
 func TestVLIWStatsUtilization(t *testing.T) {
 	p := vprog(t, 4, []Instruction{

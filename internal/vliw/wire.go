@@ -10,60 +10,60 @@ import (
 	"ximd/internal/wire"
 )
 
-// Binary serialization of VLIW machine snapshots for the durable
-// checkpoint format (internal/ckpt) — the single-sequencer analogue of
-// core's snapshot codec, with the same contract: only in-flight
-// snapshots encode (a terminal run is archived, never resumed), and
-// everything that encodes restores byte-identically.
+// The VLIW checkpoint wire layout (internal/ckpt's arch tag 2): a
+// lockstep snapshot's single PC, condition codes, statistics,
+// registers, memory, and whole-word stall. Only in-flight snapshots
+// encode (a terminal run is archived, never resumed), and everything
+// that encodes restores byte-identically.
 
-// Encode appends the snapshot to w. Snapshots of finished or faulted
-// machines do not encode: the latched error value cannot round-trip.
-func (s *Snapshot) Encode(w *wire.Writer) error {
-	if s.done || s.failure != nil {
-		return fmt.Errorf("vliw: cannot encode a terminal snapshot (done=%v, failure=%v)", s.done, s.failure)
+// EncodeSnapshot appends a lockstep machine's snapshot to w.
+func EncodeSnapshot(w *wire.Writer, s *core.Snapshot) error {
+	st, err := s.LockstepState()
+	if err != nil {
+		return fmt.Errorf("vliw: %w", err)
 	}
-	w.U64(s.cycle)
-	w.U16(uint16(s.pc))
-	w.U32(uint32(len(s.cc)))
-	for _, v := range s.cc {
+	w.U64(st.Cycle)
+	w.U16(uint16(st.PC))
+	w.U32(uint32(len(st.CC)))
+	for _, v := range st.CC {
 		w.Bool(v)
 	}
-	core.EncodeStats(w, &s.stats)
-	s.regs.Encode(w)
-	if err := mem.EncodeState(w, s.memory); err != nil {
+	core.EncodeStats(w, &st.Stats)
+	st.Regs.Encode(w)
+	if err := mem.EncodeState(w, st.Memory); err != nil {
 		return err
 	}
-	w.U32(s.stall)
+	w.U32(st.Stall)
 	return nil
 }
 
-// DecodeSnapshot reads a snapshot written by Encode.
-func DecodeSnapshot(r *wire.Reader) (*Snapshot, error) {
-	s := &Snapshot{}
-	s.cycle = r.U64()
-	s.pc = isa.Addr(r.U16())
+// DecodeSnapshot reads a snapshot written by EncodeSnapshot.
+func DecodeSnapshot(r *wire.Reader) (*core.Snapshot, error) {
+	var st core.LockstepState
+	st.Cycle = r.U64()
+	st.PC = isa.Addr(r.U16())
 	n := r.Count(1)
-	s.cc = make([]bool, n)
-	for i := range s.cc {
-		s.cc[i] = r.Bool()
+	st.CC = make([]bool, n)
+	for i := range st.CC {
+		st.CC[i] = r.Bool()
 	}
-	s.stats = core.DecodeStats(r)
+	st.Stats = core.DecodeStats(r)
 	regs, err := regfile.DecodeSnapshot(r)
 	if err != nil {
 		return nil, fmt.Errorf("vliw: decode snapshot: %w", err)
 	}
-	s.regs = regs
+	st.Regs = regs
 	memState, err := mem.DecodeState(r)
 	if err != nil {
 		return nil, fmt.Errorf("vliw: decode snapshot: %w", err)
 	}
-	s.memory = memState
-	s.stall = r.U32()
+	st.Memory = memState
+	st.Stall = r.U32()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("vliw: decode snapshot: %w", err)
 	}
 	if n < 1 || n > isa.NumFU {
 		return nil, fmt.Errorf("vliw: decode snapshot: %d FUs out of range", n)
 	}
-	return s, nil
+	return core.NewLockstepSnapshot(st), nil
 }

@@ -20,7 +20,8 @@ import (
 // paths; this covers the programs the paper's numbers come from.
 
 // ximdCapture retains a deep copy of every core cycle record, including
-// the executed parcels (which trace.Recorder drops).
+// the executed parcels (which trace.Recorder drops). It captures the
+// lockstep (VLIW) machine's records too.
 type ximdCapture struct{ recs []core.CycleRecord }
 
 func (c *ximdCapture) Cycle(rec *core.CycleRecord) {
@@ -31,15 +32,6 @@ func (c *ximdCapture) Cycle(rec *core.CycleRecord) {
 	cp.SS = append([]isa.Sync(nil), rec.SS...)
 	cp.Halted = append([]bool(nil), rec.Halted...)
 	cp.Parcels = append([]isa.Parcel(nil), rec.Parcels...)
-	c.recs = append(c.recs, cp)
-}
-
-// vliwCapture retains a deep copy of every VLIW cycle record.
-type vliwCapture struct{ recs []vliw.CycleRecord }
-
-func (c *vliwCapture) Cycle(rec *vliw.CycleRecord) {
-	cp := *rec
-	cp.CC = append([]bool(nil), rec.CC...)
 	c.recs = append(c.recs, cp)
 }
 
@@ -131,10 +123,10 @@ func runXIMDEngine(t *testing.T, inst *Instance, engine core.EngineKind) (*core.
 	return m, tr, env.Mem, cycles, runErr
 }
 
-func runVLIWEngine(t *testing.T, inst *Instance, engine core.EngineKind) (*vliw.Machine, *vliwCapture, mem.Memory, uint64, error) {
+func runVLIWEngine(t *testing.T, inst *Instance, engine core.EngineKind) (*vliw.Machine, *ximdCapture, mem.Memory, uint64, error) {
 	t.Helper()
 	env := inst.NewEnv()
-	tr := &vliwCapture{}
+	tr := &ximdCapture{}
 	m, err := vliw.New(inst.VLIW, vliw.Config{Memory: env.Mem, Tracer: tr, Engine: engine})
 	if err != nil {
 		t.Fatalf("%s: vliw.New(engine=%d): %v", inst.Name, engine, err)
@@ -212,7 +204,7 @@ func TestWorkloadEnginesEquivalent(t *testing.T) {
 					t.Fatalf("VLIW regfile stats divergence:\nfast: %+v\nref:  %+v",
 						fm.Regs().Stats(), rm.Regs().Stats())
 				}
-				if fm.PC() != rm.PC() || fm.Done() != rm.Done() {
+				if fm.PC(0) != rm.PC(0) || fm.Done() != rm.Done() {
 					t.Fatalf("VLIW sequencer divergence")
 				}
 				if !reflect.DeepEqual(ftr.recs, rtr.recs) {

@@ -50,33 +50,23 @@ func RunXIMD(inst *Instance, tracer core.Tracer) (*core.Machine, error) {
 	if inst.XIMD == nil {
 		return nil, fmt.Errorf("workload %s has no XIMD variant", inst.Name)
 	}
-	env := inst.NewEnv()
-	m, err := core.New(inst.XIMD, core.Config{Memory: env.Mem, Tracer: tracer})
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", inst.Name, err)
-	}
-	for r, v := range inst.Regs {
-		m.Regs().Poke(r, v)
-	}
-	if _, err := m.Run(); err != nil {
-		return nil, fmt.Errorf("%s: %w", inst.Name, err)
-	}
-	if env.Check != nil {
-		if err := env.Check(m.Regs()); err != nil {
-			return nil, fmt.Errorf("%s: result check: %w", inst.Name, err)
-		}
-	}
-	return m, nil
+	return run(inst, tracer, func(cfg core.Config) (*core.Machine, error) { return core.New(inst.XIMD, cfg) })
 }
 
-// RunVLIW executes the instance's VLIW program to completion, verifies
-// the result, and returns the machine for inspection.
-func RunVLIW(inst *Instance, tracer vliw.Tracer) (*vliw.Machine, error) {
+// RunVLIW is RunXIMD for the instance's VLIW program (a lockstep
+// machine, whose trace records carry the single PC).
+func RunVLIW(inst *Instance, tracer core.Tracer) (*core.Machine, error) {
 	if inst.VLIW == nil {
 		return nil, fmt.Errorf("workload %s has no VLIW variant", inst.Name)
 	}
+	return run(inst, tracer, func(cfg core.Config) (*core.Machine, error) { return vliw.New(inst.VLIW, cfg) })
+}
+
+// run builds a machine on a fresh environment, runs it, and checks the
+// result.
+func run(inst *Instance, tracer core.Tracer, build func(core.Config) (*core.Machine, error)) (*core.Machine, error) {
 	env := inst.NewEnv()
-	m, err := vliw.New(inst.VLIW, vliw.Config{Memory: env.Mem, Tracer: tracer})
+	m, err := build(core.Config{Memory: env.Mem, Tracer: tracer})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", inst.Name, err)
 	}

@@ -68,9 +68,10 @@ const (
 type (
 	// VLIWProgram is a single-stream VLIW program.
 	VLIWProgram = vliw.Program
-	// VLIWMachine is the VLIW baseline processor.
+	// VLIWMachine is the VLIW baseline processor: the XIMD machine in
+	// lockstep mode, one sequencer driving every FU.
 	VLIWMachine = vliw.Machine
-	// VLIWConfig parameterizes the VLIW machine.
+	// VLIWConfig parameterizes the VLIW machine (the XIMD Config).
 	VLIWConfig = vliw.Config
 )
 

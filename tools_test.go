@@ -159,3 +159,36 @@ func TestToolXBenchListsAndRunsOne(t *testing.T) {
 		t.Fatalf("trace10 output wrong:\n%s", out)
 	}
 }
+
+// xbenchExperiments is every xbench experiment except throughput, whose
+// wall-clock line varies run to run.
+const xbenchExperiments = "models,isa,tproc,ll12,minmax,trace10,bitcount,ioports,tiles,proto,regfile,speedup,ablation,chaos,profile"
+
+// TestToolXBenchExperimentsGolden pins the paper experiments' output
+// byte for byte, serially and with two sweep workers: every table is
+// seeded, so neither the worker count nor an engine refactor may move a
+// single byte of it.
+func TestToolXBenchExperimentsGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/xbench_experiments.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, width := range []string{"1", "2"} {
+		got := runTool(t, "xbench", "-parallel", width, "-exp", xbenchExperiments)
+		if got != string(want) {
+			gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+			for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+				var g, w string
+				if i < len(gotLines) {
+					g = gotLines[i]
+				}
+				if i < len(wantLines) {
+					w = wantLines[i]
+				}
+				if g != w {
+					t.Fatalf("-parallel %s: output differs from the golden at line %d:\ngot  %q\nwant %q", width, i+1, g, w)
+				}
+			}
+		}
+	}
+}

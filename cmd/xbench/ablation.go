@@ -25,20 +25,14 @@ func expAblation() error {
 		data[i] = int32(r.Uint32())
 	}
 	inst := workloads.Bitcount(data)
+	decoded, err := core.Predecode(inst.XIMD)
+	if err != nil {
+		return err
+	}
 	ssTask := func(registered bool) sweep.Task {
 		return sweep.Task{Name: inst.Name, Run: func(context.Context) (sweep.Outcome, error) {
-			env := inst.NewEnv()
-			m, err := core.New(inst.XIMD, core.Config{Memory: env.Mem, RegisteredSS: registered})
+			m, err := workloads.Run(inst, core.Config{Decoded: decoded, RegisteredSS: registered})
 			if err != nil {
-				return sweep.Outcome{}, err
-			}
-			for reg, v := range inst.Regs {
-				m.Regs().Poke(reg, v)
-			}
-			if _, err := m.Run(); err != nil {
-				return sweep.Outcome{}, err
-			}
-			if err := env.Check(m.Regs()); err != nil {
 				return sweep.Outcome{}, err
 			}
 			return sweep.Outcome{Cycles: m.Cycle(), Stats: m.Stats()}, nil

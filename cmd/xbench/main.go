@@ -49,7 +49,7 @@ var experiments = []experiment{
 	{"ablation", "design-decision ablations: combinational SS, barrier vs padding", expAblation},
 	{"chaos", "fault injection: XIMD vs VLIW degradation under latency, transients, FU failure", expChaos},
 	{"profile", "stall attribution: per-FU busy/sync-wait/stall breakdown, idealized and under latency faults", expProfile},
-	{"throughput", "raw simulator throughput: host-ns/machine-cycle (-batch N, -fusion=false)", expThroughput},
+	{"throughput", "raw simulator throughput: host-ns/machine-cycle (-fusion=false)", expThroughput},
 }
 
 // parallelism is the worker count for experiment sweeps, set by the
@@ -77,8 +77,6 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the experiments to `file`")
 	chaos := flag.Bool("chaos", false, "shorthand for -exp chaos")
 	profile := flag.Bool("profile", false, "shorthand for -exp profile")
-	flag.IntVar(&batchSize, "batch", batchSize,
-		"lockstep batch width for the throughput experiment (machines stepped per round)")
 	flag.BoolVar(&fusionOn, "fusion", fusionOn,
 		"enable superop fusion in the throughput experiment (set -fusion=false to measure the per-cycle engine)")
 	baseline := flag.String("baseline", "", "run the regression gate against the baseline archive in `dir`")

@@ -9,12 +9,9 @@ import (
 	"ximd/internal/mem"
 )
 
-// Flags for the throughput experiment: the lockstep batch width and the
-// superop-fusion toggle (set in main).
-var (
-	batchSize = 1
-	fusionOn  = true
-)
+// fusionOn is the throughput experiment's superop-fusion toggle (set
+// in main).
+var fusionOn = true
 
 // throughputSrc is the long arithmetic loop used as the throughput
 // workload — the same program as BenchmarkSimulatorThroughput, an 8-FU
@@ -28,55 +25,32 @@ func main() {
 }`
 
 // expThroughput measures raw simulator throughput in host nanoseconds
-// per simulated machine cycle. -batch N runs N identical machines in
-// lockstep through one core.Batch (sharing one pre-decoded, pre-fused
-// program table); -fusion=false disables superop fusion so the
-// per-cycle fast engine runs instead. Together the two flags expose the
-// engine ladder from the command line:
+// per simulated machine cycle on one machine. -fusion=false disables
+// superop fusion so the per-cycle fast engine runs instead:
 //
-//	xbench -exp throughput                      fused, single machine
-//	xbench -exp throughput -batch 64            fused, 64-machine lockstep
+//	xbench -exp throughput                      fused superop engine
 //	xbench -exp throughput -fusion=false        per-cycle fast engine
 func expThroughput() error {
-	if batchSize < 1 {
-		return fmt.Errorf("-batch %d: batch size must be >= 1", batchSize)
-	}
 	c, err := ximd.Compile(throughputSrc, ximd.CompileOptions{Width: 8, Unroll: 4})
 	if err != nil {
 		return err
 	}
-	decoded, err := core.Predecode(c.Prog)
+	m, err := core.New(c.Prog, core.Config{
+		Memory:        mem.NewShared(0),
+		DisableFusion: !fusionOn,
+	})
 	if err != nil {
 		return err
 	}
 
-	machines := make([]*core.Machine, batchSize)
-	for i := range machines {
-		m, err := core.New(nil, core.Config{
-			Decoded:       decoded,
-			Memory:        mem.NewShared(0),
-			DisableFusion: !fusionOn,
-		})
-		if err != nil {
-			return err
-		}
-		machines[i] = m
-	}
-
 	start := time.Now()
-	b := core.NewBatch(machines)
-	b.Run(4096)
+	cycles, err := m.Run()
 	elapsed := time.Since(start)
-
-	var total uint64
-	for i, m := range machines {
-		if err := b.Err(i); err != nil {
-			return fmt.Errorf("machine %d: %w", i, err)
-		}
-		total += m.Cycle()
+	if err != nil {
+		return err
 	}
-	fmt.Printf("batch %d, fusion %v: %d machine-cycles in %v = %.2f host-ns/machine-cycle\n",
-		batchSize, fusionOn, total, elapsed.Round(time.Millisecond),
-		float64(elapsed.Nanoseconds())/float64(total))
+	fmt.Printf("fusion %v: %d machine-cycles in %v = %.2f host-ns/machine-cycle\n",
+		fusionOn, cycles, elapsed.Round(time.Millisecond),
+		float64(elapsed.Nanoseconds())/float64(cycles))
 	return nil
 }

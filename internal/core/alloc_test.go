@@ -65,3 +65,31 @@ func testStepAllocs(t *testing.T, engine EngineKind) {
 
 func TestStepAllocsFast(t *testing.T)      { testStepAllocs(t, EngineFast) }
 func TestStepAllocsReference(t *testing.T) { testStepAllocs(t, EngineReference) }
+
+// TestStepNAllocsFused is the 0-alloc guard for the fused path:
+// steady-state StepN with superop runs engaged (observability disabled)
+// must allocate nothing. allocProgram's entry word is a one-word superop
+// run, so every StepN call passes through fusedRun.
+func TestStepNAllocsFused(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	m, err := New(allocProgram(), Config{Memory: mem.NewShared(1024), MaxCycles: 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.fuseOK || m.fusibleAt() == 0 {
+		t.Fatal("allocProgram no longer engages the fused engine")
+	}
+	if _, err := m.StepN(128); err != nil { // warm up staged-write buffers
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(256, func() {
+		if running, err := m.StepN(64); err != nil || !running {
+			t.Fatalf("StepN stopped: running=%v err=%v", running, err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("%v allocs per steady-state StepN(64), want 0", avg)
+	}
+}

@@ -131,66 +131,3 @@ func TestSnapshotRestoreAcrossFusion(t *testing.T) {
 		}
 	}
 }
-
-// TestResetAfterRestoreLeavesNoResidue is the machine-pooling guard: a
-// pooled machine that went through Restore (crash resume) and is then
-// Reset for a new program must behave exactly like a freshly
-// constructed one — no snapshot state may leak across the Reset.
-func TestResetAfterRestoreLeavesNoResidue(t *testing.T) {
-	r := rand.New(rand.NewSource(82))
-	for i := 0; i < 20; i++ {
-		progA := randomFusibleXIMDProgram(r)
-		progB := randomFusibleXIMDProgram(r)
-
-		build := func(p *isa.Program) (*Machine, *mem.Shared, Config) {
-			memory := mem.NewShared(diffMemWords)
-			for a := uint32(0); a < diffMemWords; a++ {
-				memory.Poke(a, isa.WordFromInt(int32(a)*3-700))
-			}
-			cfg := Config{Engine: EngineFast, Memory: memory, TolerateConflicts: true}
-			m, err := New(p, cfg)
-			if err != nil {
-				t.Fatalf("prog %d: New: %v", i, err)
-			}
-			for reg := uint8(0); reg < 24; reg++ {
-				m.Regs().Poke(reg, isa.WordFromInt(int32(reg)*7-40))
-			}
-			return m, memory, cfg
-		}
-
-		// Dirty a machine thoroughly: run progA a while, restore a
-		// mid-run snapshot, leave it parked mid-program.
-		dirty, _, _ := build(progA)
-		stepNTo(t, "dirty", dirty, 20)
-		snap, err := dirty.Snapshot()
-		if err != nil {
-			t.Fatalf("prog %d: snapshot: %v", i, err)
-		}
-		runToEnd(t, "dirty", dirty)
-		if err := dirty.Restore(snap); err != nil {
-			t.Fatalf("prog %d: restore: %v", i, err)
-		}
-
-		// Reset it onto progB with a fresh config, mirroring the pooled
-		// reuse path, and run both it and a pristine machine to the end.
-		memB := mem.NewShared(diffMemWords)
-		for a := uint32(0); a < diffMemWords; a++ {
-			memB.Poke(a, isa.WordFromInt(int32(a)*3-700))
-		}
-		if err := dirty.Reset(progB, Config{Engine: EngineFast, Memory: memB, TolerateConflicts: true}); err != nil {
-			t.Fatalf("prog %d: reset: %v", i, err)
-		}
-		for reg := uint8(0); reg < 24; reg++ {
-			dirty.Regs().Poke(reg, isa.WordFromInt(int32(reg)*7-40))
-		}
-		runToEnd(t, "reused", dirty)
-
-		fresh, freshMem, _ := build(progB)
-		runToEnd(t, "fresh", fresh)
-
-		tag := fmt.Sprintf("prog %d (reset after restore)", i)
-		assertMachinesAgree(t, tag, "reused", "fresh", progB,
-			dirty, memB, dirty.Cycle(), dirty.Err(),
-			fresh, freshMem, fresh.Cycle(), fresh.Err())
-	}
-}

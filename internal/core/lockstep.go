@@ -8,9 +8,9 @@ import (
 // 4.1) run on the XIMD datapath under a single sequencer. A lockstep
 // program is an XIMD program whose parcels all carry the word's one
 // control operation (Section 3.1; PredecodeLockstep checks it), so the
-// decode table, the fuser, the fused runtime, batching, pooling, and
-// snapshots are the XIMD machine's own. What differs is the sequencer,
-// and with it the architecture-defining behaviour the VLIW shows:
+// decode table, the fuser, the fused runtime, and snapshots are the
+// XIMD machine's own. What differs is the sequencer, and with it the
+// architecture-defining behaviour the VLIW shows:
 //
 //   - the word's control operation is evaluated once per cycle (the
 //     branch counters count words, not parcels), with one PC, pc[0];

@@ -211,7 +211,7 @@ type Machine struct {
 	done    bool
 	failure error // terminal error latched by the first failing Step
 
-	// Lockstep (VLIW) mode, fixed by the Decoded table at bind. pc[0] is
+	// Lockstep (VLIW) mode, fixed by the Decoded table at New. pc[0] is
 	// the one program counter; the partition tracker, halt vectors, and
 	// per-FU stall state stay idle. wordStall counts the remaining
 	// whole-word stall cycles, wordLat the slowest injected load latency
@@ -286,36 +286,14 @@ type fingerprint struct {
 // New creates a machine loaded with prog. Every FU starts at the program
 // entry address with cleared registers, condition codes, and memory.
 func New(prog *isa.Program, cfg Config) (*Machine, error) {
-	m := &Machine{}
-	if err := m.bind(prog, cfg); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// Reset rebinds the machine to a fresh run of prog under cfg, exactly
-// as if it had just been built by New, but reusing the register file,
-// statistics, and per-FU scratch allocations of the previous run. It is
-// the machine-pooling hook: a sweep that retires and re-acquires
-// machines through a sync.Pool allocates nothing per task in steady
-// state (beyond what the config itself demands). On error the machine
-// is left unusable and must be discarded, not pooled.
-func (m *Machine) Reset(prog *isa.Program, cfg Config) error {
-	return m.bind(prog, cfg)
-}
-
-// bind is the shared initialization of New and Reset: it validates the
-// program and configuration, then (re)initializes every field, reusing
-// existing allocations where their capacity allows.
-func (m *Machine) bind(prog *isa.Program, cfg Config) error {
 	if cfg.Decoded != nil {
 		if prog == nil {
 			prog = cfg.Decoded.prog
 		} else if prog != cfg.Decoded.prog {
-			return fmt.Errorf("core: Config.Decoded was built from a different program")
+			return nil, fmt.Errorf("core: Config.Decoded was built from a different program")
 		}
 	} else if err := prog.Validate(); err != nil {
-		return fmt.Errorf("core: invalid program: %w", err)
+		return nil, fmt.Errorf("core: invalid program: %w", err)
 	}
 	if cfg.Memory == nil {
 		cfg.Memory = mem.NewShared(0)
@@ -324,73 +302,49 @@ func (m *Machine) bind(prog *isa.Program, cfg Config) error {
 		cfg.MaxCycles = DefaultMaxCycles
 	}
 	n := prog.NumFU
-	m.prog = prog
-	m.numFU = n
-	m.config = cfg
-	m.lockstep = cfg.Decoded != nil && cfg.Decoded.lockstep
-	m.wordStall, m.wordLat = 0, 0
-	if m.regs == nil {
-		m.regs = regfile.New()
-	} else {
-		m.regs.Reset()
+	m := &Machine{
+		prog:     prog,
+		numFU:    n,
+		config:   cfg,
+		lockstep: cfg.Decoded != nil && cfg.Decoded.lockstep,
+		regs:     regfile.New(),
+		memory:   cfg.Memory,
+		pc:       make([]isa.Addr, n),
+		cc:       make([]bool, n),
+		stats:    NewStats(n),
 	}
-	m.memory = cfg.Memory
-	m.pc = resetSlice(m.pc, n)
-	m.cc = resetSlice(m.cc, n)
-	m.cycle = 0
-	m.done = false
-	m.failure = nil
-	if !m.lockstep || cfg.Tracer != nil {
-		m.parcels = resetSlice(m.parcels, n) // the trace's parcel column
-	}
-	m.ccWrites = m.ccWrites[:0]
-	m.record = CycleRecord{}
 	for i := range m.pc {
 		m.pc[i] = prog.Entry
 	}
-	m.stats.Reset(n)
+	if !m.lockstep || cfg.Tracer != nil {
+		m.parcels = make([]isa.Parcel, n) // the trace's parcel column
+	}
 	if !m.lockstep {
-		// Per-FU sequencer state, which a lockstep machine never reads
-		// (a pooled machine keeps it stale across a lockstep binding).
-		m.ccValid = resetSlice(m.ccValid, n)
-		m.halted = resetSlice(m.halted, n)
-		if m.tracker == nil {
-			m.tracker = newPartitionTracker(n)
-		} else {
-			m.tracker.reset(n)
-		}
-		m.ss = resetSlice(m.ss, n)
-		m.prevSS = resetSlice(m.prevSS, n)
-		m.nextPC = resetSlice(m.nextPC, n)
-		m.willHalt = resetSlice(m.willHalt, n)
-		m.trans = resetSlice(m.trans, n)
-		m.prevState = fingerprint{}
+		// Per-FU sequencer state, which a lockstep machine never reads.
+		m.ccValid = make([]bool, n)
+		m.halted = make([]bool, n)
+		m.tracker = newPartitionTracker(n)
+		m.ss = make([]isa.Sync, n)
+		m.prevSS = make([]isa.Sync, n)
+		m.nextPC = make([]isa.Addr, n)
+		m.willHalt = make([]bool, n)
+		m.trans = make([]transition, n)
 	}
 
-	m.inject = nil
-	m.nFailed = 0
 	if cfg.Inject.Enabled() {
 		m.inject = cfg.Inject
-		m.stalledNow = resetSlice(m.stalledNow, n)
+		m.stalledNow = make([]bool, n)
 		if m.lockstep {
 			// A lockstep stall stops every FU: the trace's Stalled vector.
 			for fu := range m.stalledNow {
 				m.stalledNow[fu] = true
 			}
-			m.stall, m.failed = nil, nil
 		} else {
-			m.stall = resetSlice(m.stall, n)
-			m.failed = resetSlice(m.failed, n)
+			m.stall = make([]uint32, n)
+			m.failed = make([]bool, n)
 		}
-	} else {
-		m.stall, m.failed, m.stalledNow = nil, nil, nil
 	}
 
-	m.code = nil
-	m.shared = nil
-	m.fuse = nil
-	m.fuseOK = false
-	m.ccBits, m.ccValidBits, m.haltedBits, m.ssBits, m.prevSSBits = 0, 0, 0, 0, 0
 	if cfg.Engine == EngineFast {
 		if cfg.Decoded != nil {
 			m.code = cfg.Decoded.code
@@ -400,7 +354,7 @@ func (m *Machine) bind(prog *isa.Program, cfg Config) error {
 			m.fuse = fuseProgram(prog, m.code)
 		}
 		if !m.lockstep {
-			m.uops = resetSlice(m.uops, n)
+			m.uops = make([]*uop, n)
 		}
 		if sh, ok := cfg.Memory.(*mem.Shared); ok {
 			m.shared = sh
@@ -408,21 +362,7 @@ func (m *Machine) bind(prog *isa.Program, cfg Config) error {
 		m.fuseOK = m.fuse != nil && !cfg.DisableFusion &&
 			m.inject == nil && cfg.Tracer == nil && m.shared != nil
 	}
-	return nil
-}
-
-// resetSlice returns a zeroed n-element slice, reusing s's backing
-// array when it is large enough.
-func resetSlice[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	var zero T
-	for i := range s {
-		s[i] = zero
-	}
-	return s
+	return m, nil
 }
 
 // NumFU returns the machine's functional-unit count.

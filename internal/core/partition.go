@@ -206,22 +206,6 @@ func newPartitionTracker(numFU int) *partitionTracker {
 	return t // all zero: a single SSET
 }
 
-// reset returns the tracker to its initial single-SSET state for a
-// numFU-wide machine, reusing its allocations when possible.
-func (t *partitionTracker) reset(numFU int) {
-	if cap(t.sset) < numFU {
-		t.sset = make([]int, numFU)
-		t.scratch = make([]int, numFU)
-		return
-	}
-	t.sset = t.sset[:numFU]
-	t.scratch = t.scratch[:numFU]
-	for i := 0; i < numFU; i++ {
-		t.sset[i] = 0
-		t.scratch[i] = 0
-	}
-}
-
 func (t *partitionTracker) partition() Partition {
 	out := make([]int, len(t.sset))
 	copy(out, t.sset)

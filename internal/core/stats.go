@@ -62,41 +62,16 @@ type Stats struct {
 
 // NewStats returns a zeroed Stats sized for a numFU-wide machine.
 func NewStats(numFU int) Stats {
-	var s Stats
-	s.init(numFU)
-	return s
-}
-
-func (s *Stats) init(numFU int) { s.Reset(numFU) }
-
-// Reset zeroes s in place for a numFU-wide machine, reusing the per-FU
-// slices when their capacity allows — the machine-pooling path
-// (Machine.Reset) recycles a retired machine's statistics without
-// reallocating.
-func (s *Stats) Reset(numFU int) {
-	*s = Stats{
-		DataOps:         resetCounters(s.DataOps, numFU),
-		Nops:            resetCounters(s.Nops, numFU),
-		HaltedCycles:    resetCounters(s.HaltedCycles, numFU),
-		StallCycles:     resetCounters(s.StallCycles, numFU),
-		FailedCycles:    resetCounters(s.FailedCycles, numFU),
-		SyncWaitCycles:  resetCounters(s.SyncWaitCycles, numFU),
-		PortConflicts:   resetCounters(s.PortConflicts, numFU),
-		StreamHistogram: resetCounters(s.StreamHistogram, numFU+1),
+	return Stats{
+		DataOps:         make([]uint64, numFU),
+		Nops:            make([]uint64, numFU),
+		HaltedCycles:    make([]uint64, numFU),
+		StallCycles:     make([]uint64, numFU),
+		FailedCycles:    make([]uint64, numFU),
+		SyncWaitCycles:  make([]uint64, numFU),
+		PortConflicts:   make([]uint64, numFU),
+		StreamHistogram: make([]uint64, numFU+1),
 	}
-}
-
-// resetCounters returns a zeroed n-element counter slice, reusing s's
-// backing array when it is large enough.
-func resetCounters(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
 }
 
 // Clone returns a deep copy: the slice fields of the copy share no

@@ -236,8 +236,3 @@ func (f *File) AddBulk(cycles, reads, writes uint64, peakReads, peakWrites int) 
 // accounting, and conflict detection, for the fused execution engines
 // (see AddBulk). Any other caller should use Read/Write or Peek/Poke.
 func (f *File) Raw() *[isa.NumRegs]isa.Word { return &f.regs }
-
-// Reset zeroes all registers, staging, and statistics.
-func (f *File) Reset() {
-	*f = File{}
-}

@@ -123,21 +123,6 @@ func TestBeginCycleResetsPorts(t *testing.T) {
 	}
 }
 
-func TestResetClearsEverything(t *testing.T) {
-	f := New()
-	f.Poke(3, isa.WordFromInt(5))
-	f.BeginCycle()
-	_, _ = f.Read(0, 3)
-	f.Commit()
-	f.Reset()
-	if f.Peek(3) != 0 {
-		t.Error("register survived reset")
-	}
-	if f.Stats() != (Stats{}) {
-		t.Errorf("stats survived reset: %+v", f.Stats())
-	}
-}
-
 // Property: committing N distinct-register writes makes each visible, and
 // reads never observe half-committed state.
 func TestCommitAtomicityProperty(t *testing.T) {

@@ -51,6 +51,9 @@ func CLIMain(tool string, arch Arch) {
 		flag.PrintDefaults()
 		os.Exit(ExitUsage)
 	}
+	if *ckptFile != "" && *ckptEvery == 0 {
+		fatal(ExitUsage, fmt.Errorf("-checkpoint %s with -checkpoint-every 0 would never write a checkpoint", *ckptFile))
+	}
 
 	source, err := os.ReadFile(flag.Arg(0))
 	if err != nil {

@@ -368,11 +368,7 @@ func execute(ctx context.Context, prog *Program, spec Spec, opts Options, from *
 	}
 
 	runSpan := opts.Span.Child("run")
-	if opts.CheckpointEvery > 0 {
-		err = checkpointLoop(ctx, m, snap, opts.CheckpointEvery, sink)
-	} else {
-		err = runLoop(ctx, m)
-	}
+	err = checkpointLoop(ctx, m, snap, opts.CheckpointEvery, sink)
 	runSpan.SetAttrInt("cycles", m.Cycle())
 	runSpan.Finish()
 	res.Cycles = m.Cycle()
@@ -411,65 +407,6 @@ func specInjector(spec Spec) (*inject.Injector, error) {
 	return injector, nil
 }
 
-// RunBatch executes many specs of one shared program as a single
-// lockstep batch: all machines are built up front (predecode and fusion
-// already paid once by Load) and advanced together in
-// ctxCheckInterval-cycle rounds, with the context checked between
-// rounds. Each spec's Result and error are exactly what Run would have
-// produced for it — a batch round is just bulk stepping — but the batch
-// amortizes scheduling and keeps every machine on the fused fast path.
-//
-// Per-run observation (Options.Trace, Options.FlightCycles) is not
-// supported in batch mode: tracing forces the reference per-cycle
-// engine and would serialize the batch's whole point. Use Run for
-// observed runs.
-//
-// A spec whose machine cannot be built gets a UsageError and never
-// runs; the rest of the batch proceeds. If the context expires
-// mid-batch, every still-running spec gets the context's error with its
-// partial cycles and stats populated.
-func RunBatch(ctx context.Context, prog *Program, specs []Spec) ([]Result, []error) {
-	results := make([]Result, len(specs))
-	errs := make([]error, len(specs))
-
-	// Build phase: one machine (and memory image) per viable spec.
-	ms := make([]*core.Machine, len(specs))
-	for i, spec := range specs {
-		results[i] = newResult(prog)
-		injector, err := specInjector(spec)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		m, err := core.New(nil, prog.config(spec, results[i].Memory, injector))
-		if err != nil {
-			errs[i] = &UsageError{Err: err}
-			continue
-		}
-		hostcfg.Apply(m.Regs(), results[i].Memory, spec.RegPokes, spec.MemPokes)
-		ms[i] = m
-	}
-
-	// Lockstep phase. NewBatch treats nil entries (failed builds) as
-	// retired with no error, so indices line up with specs throughout.
-	b := core.NewBatch(ms)
-	ctxErr := batchRounds(ctx, b.StepRound)
-	for i, m := range ms {
-		if m == nil {
-			continue
-		}
-		results[i].Cycles = m.Cycle()
-		results[i].Stats = m.Stats()
-		switch {
-		case b.Err(i) != nil:
-			errs[i] = b.Err(i)
-		case b.Running(i):
-			errs[i] = ctxErr
-		}
-	}
-	return results, errs
-}
-
 // config is the machine configuration of one run of p.
 func (p *Program) config(spec Spec, memory *mem.Shared, injector *inject.Injector) core.Config {
 	return core.Config{
@@ -481,46 +418,16 @@ func (p *Program) config(spec Spec, memory *mem.Shared, injector *inject.Injecto
 	}
 }
 
-// batchRounds drives lockstep rounds until the batch drains or the
-// context expires, returning the context's error in the latter case.
-func batchRounds(ctx context.Context, stepRound func(uint64) int) error {
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if stepRound(ctxCheckInterval) == 0 {
-			return nil
-		}
-	}
-}
-
-// runLoop steps a machine to completion in ctxCheckInterval-cycle
+// checkpointLoop steps a machine to completion in ctxCheckInterval-cycle
 // batches, checking the context between batches. Bulk stepping is what
-// lets the fused superop engine engage on untraced runs; cancellation
-// latency is unchanged (one batch, exactly as before).
-func runLoop(ctx context.Context, m *core.Machine) error {
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		running, err := m.StepN(ctxCheckInterval)
-		if err != nil {
-			return err
-		}
-		if !running {
-			return nil
-		}
-	}
-}
-
-// checkpointLoop is runLoop with periodic snapshots: batches are
-// clamped so the machine lands exactly on every multiple of `every`,
-// where a snapshot is taken and handed to the sink. Alignment is to
-// absolute cycle numbers, not to the loop's starting point, so a
-// resumed run checkpoints at the same boundaries the interrupted run
-// did. A snapshot failure (a memory model that cannot checkpoint)
-// disables further snapshots for the run rather than failing it:
-// losing resumability must not lose the result.
+// lets the fused superop engine engage on untraced runs. With every > 0
+// batches are also clamped so the machine lands exactly on every
+// multiple of `every`, where a snapshot is taken and handed to the
+// sink. Alignment is to absolute cycle numbers, not to the loop's
+// starting point, so a resumed run checkpoints at the same boundaries
+// the interrupted run did. A snapshot failure (a memory model that
+// cannot checkpoint) disables further snapshots for the run rather than
+// failing it: losing resumability must not lose the result.
 func checkpointLoop(ctx context.Context, m *core.Machine, snap func() (*ckpt.Checkpoint, error), every uint64, sink func(*ckpt.Checkpoint)) error {
 	for {
 		if err := ctx.Err(); err != nil {

@@ -13,11 +13,10 @@
 //     reproducing single-threaded behavior exactly.
 //   - Each task owns its machine, memory, and stats for the duration of
 //     its run; the engine never shares mutable state between concurrent
-//     tasks. Retired machines are recycled through shape-keyed pools
-//     (Machine.Reset rebinds all state; failed machines are discarded,
-//     see pool.go), and Stats snapshots placed in Results are deep
-//     copies (core.Stats.Clone via Machine.Stats), safe to read after
-//     or during other runs.
+//     tasks. Every run builds a fresh machine and discards it after, and
+//     Stats snapshots placed in Results are deep copies
+//     (core.Stats.Clone via Machine.Stats), safe to read after or
+//     during other runs.
 //   - Cancellation is cooperative via context: tasks not yet started
 //     when the context is cancelled are marked with the context error,
 //     and retry backoff waits abort promptly when the context ends.
@@ -294,15 +293,12 @@ func runAttempt(ctx context.Context, t *Task, timeout time.Duration) (out Outcom
 }
 
 // XIMD adapts a workload instance's XIMD variant into a Task: each
-// invocation builds a fresh environment, acquires a machine from the
-// shape-keyed pool (recycling retired machines through Reset), runs it
-// to completion, verifies the result, and snapshots cycles and stats.
-// The machine is recycled only on full success; any failure discards
-// it, so a fault can never leak state into a later task.
+// invocation runs workloads.Run on a fresh machine and environment
+// (build, poke, run, check) and snapshots cycles and stats.
 func XIMD(inst *workloads.Instance) Task {
 	// Predecode (and fuse) once at adapter construction: every run of
 	// the task shares the immutable decode table, so per-task work is
-	// just a machine rebind plus the simulation itself.
+	// just a machine build plus the simulation itself.
 	var decoded *core.Decoded
 	var err error
 	if inst.XIMD != nil {
@@ -312,7 +308,7 @@ func XIMD(inst *workloads.Instance) Task {
 }
 
 // VLIW adapts a workload instance's VLIW variant into a Task, with the
-// same pooled-machine lifecycle as XIMD.
+// same per-task lifecycle as XIMD.
 func VLIW(inst *workloads.Instance) Task {
 	var decoded *core.Decoded
 	var err error
@@ -332,24 +328,10 @@ func machineTask(inst *workloads.Instance, variant string, decoded *core.Decoded
 		if decoded == nil {
 			return Outcome{}, fmt.Errorf("workload %s has no %s variant", inst.Name, variant)
 		}
-		env := inst.NewEnv()
-		m, err := acquire(core.Config{Memory: env.Mem, Decoded: decoded})
+		m, err := workloads.Run(inst, core.Config{Decoded: decoded})
 		if err != nil {
-			return Outcome{}, fmt.Errorf("%s: %w", inst.Name, err)
+			return Outcome{}, err
 		}
-		for r, v := range inst.Regs {
-			m.Regs().Poke(r, v)
-		}
-		if _, err := m.Run(); err != nil {
-			return Outcome{}, fmt.Errorf("%s: %w", inst.Name, err)
-		}
-		if env.Check != nil {
-			if err := env.Check(m.Regs()); err != nil {
-				return Outcome{}, fmt.Errorf("%s: result check: %w", inst.Name, err)
-			}
-		}
-		out := Outcome{Cycles: m.Cycle(), Stats: m.Stats()}
-		release(m)
-		return out, nil
+		return Outcome{Cycles: m.Cycle(), Stats: m.Stats()}, nil
 	}}
 }

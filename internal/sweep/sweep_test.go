@@ -161,3 +161,21 @@ func TestDefaultWorkersAndEmpty(t *testing.T) {
 		t.Fatalf("default workers: res=%v err=%v", res, err)
 	}
 }
+
+// BenchmarkSweepTaskAllocs measures the full per-task cost of the
+// standard TPROC sweep task: a fresh environment and machine, the run,
+// and the result check.
+func BenchmarkSweepTaskAllocs(b *testing.B) {
+	task := XIMD(workloads.TPROC(3, -4, 5, -6))
+	ctx := context.Background()
+	if _, err := task.Run(ctx); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := task.Run(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

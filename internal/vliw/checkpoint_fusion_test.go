@@ -102,60 +102,3 @@ func TestVLIWSnapshotRestoreAcrossFusion(t *testing.T) {
 		}
 	}
 }
-
-// TestVLIWResetAfterRestoreLeavesNoResidue mirrors the core pooling
-// guard: Restore followed by Reset must leave no checkpoint state
-// behind.
-func TestVLIWResetAfterRestoreLeavesNoResidue(t *testing.T) {
-	r := rand.New(rand.NewSource(84))
-	for i := 0; i < 20; i++ {
-		progA := randomFusibleVLIWProgram(r)
-		progB := randomFusibleVLIWProgram(r)
-
-		build := func(p *Program) (*Machine, *mem.Shared) {
-			memory := mem.NewShared(1024)
-			for a := uint32(0); a < 1024; a++ {
-				memory.Poke(a, isa.WordFromInt(int32(a)*5-900))
-			}
-			m, err := New(p, Config{Engine: core.EngineFast, Memory: memory})
-			if err != nil {
-				t.Fatalf("prog %d: New: %v", i, err)
-			}
-			for reg := uint8(0); reg < 12; reg++ {
-				m.Regs().Poke(reg, isa.WordFromInt(int32(reg)*11-60))
-			}
-			return m, memory
-		}
-
-		dirty, _ := build(progA)
-		vliwStepTo(dirty, 20)
-		snap, err := dirty.Snapshot()
-		if err != nil {
-			t.Fatalf("prog %d: snapshot: %v", i, err)
-		}
-		vliwRunToEnd(dirty)
-		if err := dirty.Restore(snap); err != nil {
-			t.Fatalf("prog %d: restore: %v", i, err)
-		}
-
-		memB := mem.NewShared(1024)
-		for a := uint32(0); a < 1024; a++ {
-			memB.Poke(a, isa.WordFromInt(int32(a)*5-900))
-		}
-		if err := dirty.Reset(nil, Config{Engine: core.EngineFast, Memory: memB, Decoded: mustPredecode(t, progB)}); err != nil {
-			t.Fatalf("prog %d: reset: %v", i, err)
-		}
-		for reg := uint8(0); reg < 12; reg++ {
-			dirty.Regs().Poke(reg, isa.WordFromInt(int32(reg)*11-60))
-		}
-		vliwRunToEnd(dirty)
-
-		fresh, freshMem := build(progB)
-		vliwRunToEnd(fresh)
-
-		tag := fmt.Sprintf("prog %d (reset after restore)", i)
-		assertVLIWAgree(t, tag, "reused", "fresh",
-			dirty, memB, dirty.Cycle(), dirty.Err(),
-			fresh, freshMem, fresh.Cycle(), fresh.Err())
-	}
-}

@@ -149,3 +149,32 @@ func testVLIWStepAllocs(t *testing.T, engine core.EngineKind) {
 
 func TestVLIWStepAllocsFast(t *testing.T)      { testVLIWStepAllocs(t, core.EngineFast) }
 func TestVLIWStepAllocsReference(t *testing.T) { testVLIWStepAllocs(t, core.EngineReference) }
+
+// TestVLIWStepNAllocsFused is the 0-alloc guard for the fused lockstep
+// path: steady-state StepN with superop runs engaged must allocate
+// nothing.
+func TestVLIWStepNAllocsFused(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	p := allocVLIWProgram()
+	d := mustPredecode(t, p)
+	if d.FusibleWords() == 0 {
+		t.Fatal("allocVLIWProgram no longer engages the fused engine")
+	}
+	m, err := New(p, Config{Memory: mem.NewShared(1024), MaxCycles: 1 << 40, Decoded: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.StepN(128); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(256, func() {
+		if running, err := m.StepN(64); err != nil || !running {
+			t.Fatalf("StepN stopped: running=%v err=%v", running, err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("%v allocs per steady-state StepN(64), want 0", avg)
+	}
+}

@@ -19,8 +19,7 @@ func vprog(t *testing.T, numFU int, rows []Instruction) *Program {
 	return p
 }
 
-// mustPredecode builds p's lockstep table, for rebinding a pooled
-// machine through core.Machine.Reset.
+// mustPredecode builds p's lockstep table.
 func mustPredecode(t *testing.T, p *Program) *core.Decoded {
 	t.Helper()
 	d, err := Predecode(p)
@@ -28,13 +27,6 @@ func mustPredecode(t *testing.T, p *Program) *core.Decoded {
 		t.Fatalf("Predecode: %v", err)
 	}
 	return d
-}
-
-// withDecoded returns cfg carrying p's lockstep table.
-func withDecoded(t *testing.T, p *Program, cfg Config) Config {
-	t.Helper()
-	cfg.Decoded = mustPredecode(t, p)
-	return cfg
 }
 
 func row(ctrl isa.CtrlOp, ops ...isa.DataOp) Instruction {

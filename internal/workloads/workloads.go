@@ -50,7 +50,11 @@ func RunXIMD(inst *Instance, tracer core.Tracer) (*core.Machine, error) {
 	if inst.XIMD == nil {
 		return nil, fmt.Errorf("workload %s has no XIMD variant", inst.Name)
 	}
-	return run(inst, tracer, func(cfg core.Config) (*core.Machine, error) { return core.New(inst.XIMD, cfg) })
+	decoded, err := core.Predecode(inst.XIMD)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", inst.Name, err)
+	}
+	return Run(inst, core.Config{Decoded: decoded, Tracer: tracer})
 }
 
 // RunVLIW is RunXIMD for the instance's VLIW program (a lockstep
@@ -59,14 +63,21 @@ func RunVLIW(inst *Instance, tracer core.Tracer) (*core.Machine, error) {
 	if inst.VLIW == nil {
 		return nil, fmt.Errorf("workload %s has no VLIW variant", inst.Name)
 	}
-	return run(inst, tracer, func(cfg core.Config) (*core.Machine, error) { return vliw.New(inst.VLIW, cfg) })
+	decoded, err := vliw.Predecode(inst.VLIW)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", inst.Name, err)
+	}
+	return Run(inst, core.Config{Decoded: decoded, Tracer: tracer})
 }
 
-// run builds a machine on a fresh environment, runs it, and checks the
-// result.
-func run(inst *Instance, tracer core.Tracer, build func(core.Config) (*core.Machine, error)) (*core.Machine, error) {
+// Run builds a machine under cfg, whose Decoded table carries the
+// program (either variant), on a fresh environment of the instance,
+// applies the instance's register pokes, runs it to completion, and
+// checks the result. cfg.Memory is replaced by the environment's.
+func Run(inst *Instance, cfg core.Config) (*core.Machine, error) {
 	env := inst.NewEnv()
-	m, err := build(core.Config{Memory: env.Mem, Tracer: tracer})
+	cfg.Memory = env.Mem
+	m, err := core.New(nil, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", inst.Name, err)
 	}

@@ -1,6 +1,7 @@
 package ximd_test
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -189,6 +190,29 @@ func TestToolXBenchExperimentsGolden(t *testing.T) {
 					t.Fatalf("-parallel %s: output differs from the golden at line %d:\ngot  %q\nwant %q", width, i+1, g, w)
 				}
 			}
+		}
+	}
+}
+
+// TestToolCheckpointEveryZeroIsUsageError: -checkpoint with a zero
+// interval would run to completion and leave an empty checkpoint file
+// that a later -resume cannot use, so both simulators refuse the
+// combination up front with the usage exit code and create no file.
+func TestToolCheckpointEveryZeroIsUsageError(t *testing.T) {
+	for _, tool := range []string{"xsim", "vsim"} {
+		ck := filepath.Join(t.TempDir(), "ck.log")
+		cmd := exec.Command(filepath.Join(toolBinDir, tool),
+			"-checkpoint", ck, "-checkpoint-every", "0", "testdata/tproc.xasm")
+		out, err := cmd.CombinedOutput()
+		var exitErr *exec.ExitError
+		if !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 {
+			t.Fatalf("%s: err = %v, want exit status 2\n%s", tool, err, out)
+		}
+		if !strings.Contains(string(out), "-checkpoint-every 0") {
+			t.Fatalf("%s: usage error does not name the flag:\n%s", tool, out)
+		}
+		if _, err := os.Stat(ck); !os.IsNotExist(err) {
+			t.Fatalf("%s: checkpoint file created despite the usage error (stat: %v)", tool, err)
 		}
 	}
 }
